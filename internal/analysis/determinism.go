@@ -27,7 +27,7 @@ import (
 //     order, chunk-merged argmax under the strictly-greater rule, or
 //     disjoint index ranges. The audited primitives — parRange workers,
 //     proposeMatches, ContractPar, SplittingCostPar, the FM chunk scan,
-//     the π prefetch — carry suppressions citing DESIGN.md §14).
+//     the Lemma 8 halves — carry suppressions citing DESIGN.md §14).
 var Determinism = &Analyzer{
 	Name:      "determinism",
 	Doc:       "flags nondeterministic constructs (map ranges, wall-clock reads, global math/rand, multi-case selects) in the deterministic core",

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/coarsen"
 	"repro/internal/graph"
-	"repro/internal/measure"
 	"repro/internal/splitter"
 )
 
@@ -226,17 +225,9 @@ func RefineLocal(ctx context.Context, g *graph.Graph, opt Options, prior []int32
 
 // newCtx validates options and builds the shared pipeline context. A nil
 // run context is tolerated (treated as context.Background()) so internal
-// callers and tests need no ceremony.
+// callers and tests need no ceremony. The splitting-cost measure π is not
+// computed here but on first use (ctx.splittingCost).
 func newCtx(run context.Context, g *graph.Graph, opt Options) (*ctx, error) {
-	return newCtxPi(run, g, opt, nil)
-}
-
-// newCtxPi is newCtx with a precomputed splitting-cost measure π for g
-// (nil computes it here). The multilevel driver overlaps the next level's
-// π sweep with the current level's refine and passes the result down; the
-// values are bit-identical to an in-context computation at any
-// parallelism, so the overlap never changes a coloring.
-func newCtxPi(run context.Context, g *graph.Graph, opt Options, pi []float64) (*ctx, error) {
 	p := opt.P
 	if p == 0 {
 		p = 2
@@ -267,20 +258,11 @@ func newCtxPi(run context.Context, g *graph.Graph, opt Options, pi []float64) (*
 	opt.P = p
 	opt.Splitter = sp
 	opt.Parallelism = par
-	if pi == nil {
-		// The π sweep is the pow-heavy prelude of every run; fan it across
-		// the pool (bit-identical at any parallelism — each π(v) is an
-		// independent per-vertex sum). The multilevel driver prefetches the
-		// next level's π while the current level refines and hands it in
-		// here via Pipeline.withPi.
-		pi = measure.SplittingCostPar(g, p, 1, par)
-	}
 	c := &ctx{
 		g:         g,
 		sp:        sp,
 		spDefault: spDefault,
 		p:         p,
-		pi:        pi,
 		opt:       opt,
 		par:       par,
 		run:       run,

@@ -25,7 +25,7 @@ func testCtx(g *graph.Graph, gr *grid.Grid, p float64) *ctx {
 	} else {
 		sp = splitter.NewRefined(g, splitter.NewBFS(g))
 	}
-	return &ctx{g: g, sp: sp, p: p, pi: measure.SplittingCost(g, p, 1)}
+	return &ctx{g: g, sp: sp, p: p}
 }
 
 func randomizeWeights(rng *rand.Rand, g *graph.Graph, spread float64) {
@@ -58,7 +58,7 @@ func TestTwoColorMultiMeasureBalance(t *testing.T) {
 		c := testCtx(g, gr, 2)
 		// Three measures: weights, π, and a random measure.
 		m1 := append([]float64(nil), g.Weight...)
-		m2 := c.pi
+		m2 := c.splittingCost()
 		m3 := make([]float64, g.N())
 		for i := range m3 {
 			m3[i] = rng.Float64()
@@ -91,7 +91,7 @@ func TestTwoColorPartition(t *testing.T) {
 	gr, g := gridGraph(t, 5, 7)
 	c := testCtx(g, gr, 2)
 	W := graph.AllVertices(g)
-	halves := c.twoColor(W, [][]float64{g.Weight, c.pi})
+	halves := c.twoColor(W, [][]float64{g.Weight, c.splittingCost()})
 	seen := make(map[int32]int)
 	for b := 0; b < 2; b++ {
 		for _, v := range halves[b] {
@@ -209,7 +209,7 @@ func TestMultiBalancedAllMeasures(t *testing.T) {
 	randomizeWeights(rng, g, 5)
 	c := testCtx(g, gr, 2)
 	k := 16
-	ms := [][]float64{c.pi, g.Weight}
+	ms := [][]float64{c.splittingCost(), g.Weight}
 	chi := c.multiBalanced(k, ms)
 	if err := graph.CheckColoring(chi, k); err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestMinMaxBalancedBoundsMaxBoundary(t *testing.T) {
 	k := 16
 
 	// Average-only stage (Lemma 6).
-	chiAvg := c.multiBalanced(k, [][]float64{c.pi, g.Weight})
+	chiAvg := c.multiBalanced(k, [][]float64{c.splittingCost(), g.Weight})
 	// Full Proposition 7.
 	chi := c.minMaxBalanced(k, [][]float64{g.Weight})
 	if err := graph.CheckColoring(chi, k); err != nil {
@@ -285,12 +285,12 @@ func TestExtractLowImpact(t *testing.T) {
 	gr, g := gridGraph(t, 10, 10)
 	c := testCtx(g, gr, 2)
 	U := graph.AllVertices(g)
-	X := c.extractLowImpact(U, g.Weight, 10, [][]float64{c.pi})
+	X := c.extractLowImpact(U, g.Weight, 10, [][]float64{c.splittingCost()})
 	if len(X) == 0 || len(X) == len(U) {
 		t.Fatalf("low-impact part size %d", len(X))
 	}
 	// The chosen part should carry roughly its share of π, not much more.
-	ratio := sumOver(c.pi, X) / sumOver(c.pi, U)
+	ratio := sumOver(c.splittingCost(), X) / sumOver(c.splittingCost(), U)
 	weightRatio := sumOver(g.Weight, X) / sumOver(g.Weight, U)
 	if ratio > 4*weightRatio+0.1 {
 		t.Fatalf("low-impact part carries π ratio %v at weight ratio %v", ratio, weightRatio)
@@ -302,17 +302,17 @@ func TestExtractHighImpact(t *testing.T) {
 	c := testCtx(g, gr, 2)
 	U := graph.AllVertices(g)
 	target := 12.0
-	X := c.extractHighImpact(U, g.Weight, target, [][]float64{c.pi})
+	X := c.extractHighImpact(U, g.Weight, target, [][]float64{c.splittingCost()})
 	wX := sumOver(g.Weight, X)
 	if wX < target-1e-9 {
 		t.Fatalf("high-impact part weight %v below target %v", wX, target)
 	}
 	// Must carry a guaranteed share of π (Corollary 18's max-part pick).
-	if sumOver(c.pi, X) <= 0 {
+	if sumOver(c.splittingCost(), X) <= 0 {
 		t.Fatal("high-impact part carries no π at all")
 	}
 	// Whole-set request.
-	all := c.extractHighImpact(U, g.Weight, 1e9, [][]float64{c.pi})
+	all := c.extractHighImpact(U, g.Weight, 1e9, [][]float64{c.splittingCost()})
 	if len(all) != len(U) {
 		t.Fatal("target above total should return everything")
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/measure"
 	"repro/internal/splitter"
 )
 
@@ -16,7 +17,8 @@ import (
 //
 // Concurrency contract: every field is written only before the first pool
 // worker is spawned (newCtx, plus Decompose's countingSplitter wrap of sp)
-// and read-only afterwards (sem carries tokens, never data), so ctx methods
+// and read-only afterwards (sem carries tokens, never data; pi is written
+// once under piOnce, checked only between stages), so ctx methods
 // may run from multiple pool workers at once as long as each worker only
 // writes state it owns. The splitting oracle sp must be safe for concurrent use
 // (see splitter.Splitter); all in-tree implementations are stateless.
@@ -32,8 +34,14 @@ type ctx struct {
 	g   *graph.Graph
 	sp  splitter.Splitter
 	p   float64
-	pi  []float64 // splitting-cost measure π of Definition 10 (σ_p = 1)
-	opt Options   // the run's options, with Splitter/Parallelism resolved
+	opt Options // the run's options, with Splitter/Parallelism resolved
+
+	piOnce sync.Once
+	pi     []float64 // splitting-cost measure π of Definition 10 (σ_p = 1); see splittingCost
+
+	// checked is UnlessStrict's strict verdict on the working coloring,
+	// cleared by the driver after every stage that runs.
+	checked *graph.Balance
 
 	// spDefault records that sp was minted by newCtx rather than supplied
 	// by the caller. The multilevel driver uses it to decide whether the
@@ -52,6 +60,30 @@ type ctx struct {
 	// diag collects the run's Diagnostics; set by Pipeline.Run (nil for
 	// the standalone stage entry points, which report no diagnostics).
 	diag *Diagnostics
+}
+
+// splittingCost returns π, computing it on the first call: only the
+// Proposition 7 and 11 stages read it, so a strict-prior refine never
+// pays the pow-heavy sweep. π is bit-identical at any parallelism, so
+// when it runs never changes a coloring.
+func (c *ctx) splittingCost() []float64 {
+	c.piOnce.Do(func() { c.pi = measure.SplittingCostPar(c.g, c.p, 1, c.par) })
+	return c.pi
+}
+
+// polishable reports whether a polish stage runs on chi — SkipPolish is
+// off and chi is strictly balanced — and returns the check polish starts
+// from: UnlessStrict's when no stage ran since, else a fresh one.
+func (c *ctx) polishable(chi []int32) (graph.Balance, bool) {
+	if c.opt.SkipPolish {
+		return graph.Balance{}, false
+	}
+	b := c.checked
+	if b == nil {
+		fresh := graph.CheckBalance(c.g, chi, c.opt.K)
+		b = &fresh
+	}
+	return *b, b.StrictlyBalanced
 }
 
 // interrupted reports whether the run's context has been cancelled. It is

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/splitter"
 )
@@ -48,5 +49,28 @@ func TestDiagnosticsOracleComplexity(t *testing.T) {
 	// Near-linear in k: not more than ~k·polylog(k) growth.
 	if c32 > 64*c4 {
 		t.Fatalf("oracle calls grew superlinearly: k=4 → %d, k=32 → %d", c4, c32)
+	}
+}
+
+// TestDiagnosticsTotalCoversPostlude pins that Diagnostics.Total is the
+// run's wall time including the postlude: a stageless pipeline on a
+// broken prior spends nearly all of its time in the strictness check and
+// the chunked-greedy backstop, so Total must account for most of the
+// wall time measured around the call.
+func TestDiagnosticsTotalCoversPostlude(t *testing.T) {
+	gr, g := gridGraph(t, 48, 48)
+	opt := Options{K: 8, Parallelism: 1, Splitter: splitter.NewGrid(gr)}
+	prior := make([]int32, g.N()) // one class: far from strict
+	start := time.Now()
+	res, err := NewPipeline().Run(context.Background(), g, opt, prior)
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.UsedFallback {
+		t.Fatal("backstop did not run on a one-class prior")
+	}
+	if 2*res.Diag.Total < wall {
+		t.Fatalf("Diagnostics.Total %v covers under half of the %v run", res.Diag.Total, wall)
 	}
 }

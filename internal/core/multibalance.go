@@ -31,7 +31,7 @@ func (c *ctx) multiBalanced(k int, ms [][]float64) []int32 {
 // χ-monochromatic boundary ∂′Vin(i) along the forest.
 func (c *ctx) minMaxBalanced(k int, user [][]float64) []int32 {
 	ms := make([][]float64, 0, len(user)+1)
-	ms = append(ms, c.pi)
+	ms = append(ms, c.splittingCost())
 	ms = append(ms, user...)
 	chi := c.multiBalanced(k, ms)
 

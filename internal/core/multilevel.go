@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/coarsen"
 	"repro/internal/graph"
-	"repro/internal/measure"
 	"repro/internal/splitter"
 )
 
@@ -156,26 +155,6 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 		return hier.Levels[i-1].Coarse
 	}
 
-	// Overlap: while level i refines, the next finer level's splitting-cost
-	// prelude (the pow-heavy π sweep every inner run pays at context
-	// construction) computes concurrently. π depends only on the static
-	// level graph — never on the evolving coloring — and is bit-identical
-	// wherever it is computed, so the overlap changes wall time only. The
-	// deferred drain keeps the pipeline contract that no goroutine outlives
-	// the entry point's return, on every path including error unwinds.
-	var piCh chan []float64
-	prefetch := func(g *graph.Graph) chan []float64 {
-		ch := make(chan []float64, 1)
-		//repro:nondeterministic-ok single buffered send, drained before the level (or any error path) consumes it; π is bit-identical wherever computed — DESIGN.md §14
-		go func() { ch <- measure.SplittingCostPar(g, c.p, 1, 1) }()
-		return ch
-	}
-	defer func() {
-		if piCh != nil {
-			<-piCh
-		}
-	}()
-
 	// Per-level options: the inner runs inherit the caller's policy but
 	// never recurse into the multilevel path, and each graph of the
 	// hierarchy gets its own factory-built oracle. The finest level reuses
@@ -191,10 +170,9 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 	if cg != c.g {
 		copt.Splitter = factory(cg)
 	}
-	if c.par > 1 && len(hier.Levels) > 0 && fineAt(len(hier.Levels)-1) != c.g {
-		piCh = prefetch(fineAt(len(hier.Levels) - 1))
-	}
-	res, err := Decompose(c.run, cg, copt)
+	// The inner runs skip the full ColoringStats postlude: only their
+	// colorings and diagnostics are kept, and Verify audits the final one.
+	res, err := DecomposePipeline(copt).run(c.run, cg, copt, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -215,22 +193,6 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 	for i := len(hier.Levels) - 1; i >= 0; i-- {
 		chi = hier.Levels[i].Project(chi)
 		fg := fineAt(i)
-		var pi []float64
-		if piCh != nil {
-			pi = <-piCh
-			piCh = nil
-		}
-		if pi == nil && fg == c.g {
-			// The run context already paid the finest graph's π sweep at
-			// construction; reuse it instead of recomputing (or
-			// prefetching — the guards above and below never spawn a
-			// prefetch for c.g). Bit-identical by the SplittingCostPar
-			// contract, so the refine is unchanged.
-			pi = c.pi
-		}
-		if i > 0 && c.par > 1 && fineAt(i-1) != c.g {
-			piCh = prefetch(fineAt(i - 1))
-		}
 		lopt := inner
 		var warm *splitter.Warm
 		if warmable && (fg != c.g || c.spDefault) {
@@ -238,7 +200,7 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 		} else if fg != c.g {
 			lopt.Splitter = factory(fg)
 		}
-		res, err = RefinePipeline(lopt).withPi(pi).Run(c.run, fg, lopt, chi)
+		res, err = RefinePipeline(lopt).run(c.run, fg, lopt, chi, false)
 		if err != nil {
 			return nil, err
 		}

@@ -62,21 +62,6 @@ type groupStage interface {
 // reuse it freely: a Pipeline is immutable and safe for concurrent Runs.
 type Pipeline struct {
 	stages []Stage
-
-	// pi, when non-nil, seeds the run's splitting-cost measure (newCtxPi)
-	// instead of computing it at context construction — the multilevel
-	// driver's overlap: the next level's π sweep runs while the current
-	// level refines. Values are bit-identical to an in-context
-	// computation, so the seeding never changes a coloring.
-	pi []float64
-}
-
-// withPi returns a shallow copy of the pipeline whose Run seeds newCtx
-// with the precomputed splitting-cost measure for the run's graph. The
-// receiver is unchanged (pipelines are immutable and shared).
-func (p *Pipeline) withPi(pi []float64) *Pipeline {
-	q := &Pipeline{stages: p.stages, pi: pi}
-	return q
 }
 
 // NewPipeline builds a pipeline from the given stages, run in order.
@@ -120,13 +105,20 @@ func RefineLocalPipeline(opt Options, dirty []int32) *Pipeline {
 // checkpoint after each stage, the chunked-greedy strictness backstop,
 // and the rule that a cancellation always wins over a computed coloring.
 func (p *Pipeline) Run(run context.Context, g *graph.Graph, opt Options, prior []int32) (Result, error) {
+	return p.run(run, g, opt, prior, true)
+}
+
+// run is Run with Result.Stats optional: the multilevel driver's
+// per-level runs pass stats false, skipping the pass over every edge that
+// statistics nobody reads would cost.
+func (p *Pipeline) run(run context.Context, g *graph.Graph, opt Options, prior []int32, stats bool) (Result, error) {
 	if opt.K < 1 {
 		return Result{}, fmt.Errorf("core: K must be ≥ 1, got %d", opt.K)
 	}
 	if g.N() == 0 {
 		return Result{Coloring: []int32{}, Stats: graph.ColoringStats{K: opt.K}}, nil
 	}
-	c, err := newCtxPi(run, g, opt, p.pi)
+	c, err := newCtx(run, g, opt)
 	if err != nil {
 		return Result{}, err
 	}
@@ -148,16 +140,13 @@ func (p *Pipeline) Run(run context.Context, g *graph.Graph, opt Options, prior [
 	if chi, err = c.runStages(p.stages, chi); err != nil {
 		return Result{}, err
 	}
-	diag.Total = time.Since(start) //repro:nondeterministic-ok run timing feeds Diagnostics.Total only, never the coloring — DESIGN.md §13
 
-	res := Result{Coloring: chi, Diag: diag}
-	res.Stats = graph.Stats(g, chi, k)
-	if !res.Stats.StrictlyBalanced {
+	res := Result{Coloring: chi}
+	if !graph.IsStrictlyBalanced(g, chi, k) {
 		// Degenerate inputs (e.g. wildly heavy vertices) can defeat the
 		// practical constants; the chunked-greedy backstop is always strict.
 		chi = c.chunkedGreedy(chi, k)
 		res.Coloring = chi
-		res.Stats = graph.Stats(g, chi, k)
 		res.UsedFallback = true
 	}
 	// A cancellation that lands after the stage checkpoints must still win
@@ -169,6 +158,11 @@ func (p *Pipeline) Run(run context.Context, g *graph.Graph, opt Options, prior [
 	if err := graph.CheckColoring(chi, k); err != nil {
 		return Result{}, fmt.Errorf("core: internal error: %w", err)
 	}
+	if stats {
+		res.Stats = graph.Stats(g, chi, k)
+	}
+	diag.Total = time.Since(start) //repro:nondeterministic-ok run timing feeds Diagnostics.Total only, never the coloring — DESIGN.md §13
+	res.Diag = diag
 	return res, nil
 }
 
@@ -186,6 +180,7 @@ func (c *ctx) runStages(stages []Stage, chi []int32) ([]int32, error) {
 		if chi, err = c.runStage(st, chi); err != nil {
 			return nil, err
 		}
+		c.checked = nil // the stage may have changed the coloring
 		if err := c.run.Err(); err != nil {
 			return nil, err
 		}
@@ -239,7 +234,7 @@ func (multiBalanceStage) Name() StageName { return StageMultiBalance }
 func (multiBalanceStage) Run(c *ctx, _ []int32) ([]int32, error) {
 	user := append([][]float64{c.g.Weight}, c.opt.Measures...)
 	if c.opt.SkipBoundaryBalance {
-		ms := append([][]float64{c.pi}, user...)
+		ms := append([][]float64{c.splittingCost()}, user...)
 		return c.multiBalanced(c.opt.K, ms), nil
 	}
 	return c.minMaxBalanced(c.opt.K, user), nil
@@ -278,7 +273,7 @@ func (strictPackStage) Run(c *ctx, chi []int32) ([]int32, error) {
 // polishStage is the strictness-preserving boundary polish pass. It runs
 // only on a strictly balanced coloring (polish moves are feasibility-
 // checked against the Definition 1 window, which is meaningless otherwise)
-// and honors the SkipPolish ablation.
+// and honors the SkipPolish ablation (ctx.polishable).
 type polishStage struct{}
 
 // PolishStage returns the boundary polish stage.
@@ -287,8 +282,8 @@ func PolishStage() Stage { return polishStage{} }
 func (polishStage) Name() StageName { return StagePolish }
 
 func (polishStage) Run(c *ctx, chi []int32) ([]int32, error) {
-	if !c.opt.SkipPolish && graph.IsStrictlyBalanced(c.g, chi, c.opt.K) {
-		return c.polish(chi, c.opt.K, 3), nil
+	if b, ok := c.polishable(chi); ok {
+		return c.polish(chi, b, 3), nil
 	}
 	return chi, nil
 }
@@ -313,8 +308,8 @@ func LocalPolishStage(dirty []int32) Stage {
 func (localPolishStage) Name() StageName { return StagePolish }
 
 func (s localPolishStage) Run(c *ctx, chi []int32) ([]int32, error) {
-	if !c.opt.SkipPolish && graph.IsStrictlyBalanced(c.g, chi, c.opt.K) {
-		return c.polishLocal(chi, c.opt.K, 3, s.dirty), nil
+	if b, ok := c.polishable(chi); ok {
+		return c.polishLocal(chi, b, 3, s.dirty), nil
 	}
 	return chi, nil
 }
@@ -323,7 +318,8 @@ func (s localPolishStage) Run(c *ctx, chi []int32) ([]int32, error) {
 // when the working coloring is not strictly balanced. The strictness
 // predicate is evaluated once, at expansion — when the prior is broken,
 // every inner stage runs, even if an early one already restores
-// strictness (Proposition 12 must still certify the window).
+// strictness (Proposition 12 must still certify the window). A strict
+// verdict's check stays on the ctx for the polish stage that follows.
 type unlessStrict struct {
 	inner []Stage
 }
@@ -342,8 +338,11 @@ func (u unlessStrict) Run(_ *ctx, chi []int32) ([]int32, error) {
 }
 
 func (u unlessStrict) expand(c *ctx, chi []int32) []Stage {
-	if chi != nil && graph.IsStrictlyBalanced(c.g, chi, c.opt.K) {
-		return nil
+	if chi != nil {
+		if b := graph.CheckBalance(c.g, chi, c.opt.K); b.StrictlyBalanced {
+			c.checked = &b
+			return nil
+		}
 	}
 	return u.inner
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -147,5 +148,47 @@ func TestMultilevelDeterministic(t *testing.T) {
 		if !slices.Equal(first, res.Coloring) {
 			t.Fatalf("multilevel coloring differs at Parallelism=%d", par)
 		}
+	}
+}
+
+// TestStrictPriorLevelRefineIsLean pins the cost of a multilevel level
+// whose projected prior is already strict: the refine runs only the
+// weight-only strictness check, so it computes no π (8 bytes per vertex)
+// and, with polish skipped, no boundary pass — the level postlude builds
+// no ColoringStats. Everything it allocates per run is the private copy
+// of the prior (4 bytes per vertex) plus O(k).
+func TestStrictPriorLevelRefineIsLean(t *testing.T) {
+	const k = 16
+	_, g := gridGraph(t, 256, 256)
+	n := g.N()
+	prior := make([]int32, n)
+	for v := range prior {
+		prior[v] = int32(v * k / n) // equal class weights: strict
+	}
+	opt := Options{K: k, Parallelism: 1, SkipPolish: true}
+	p := RefinePipeline(opt)
+	run := func() Result {
+		res, err := p.run(context.Background(), g, opt, prior, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res := run()
+	if res.Diag.SplitterCalls != 0 || res.UsedFallback || !slices.Equal(res.Coloring, prior) {
+		t.Fatalf("strict prior was rebalanced: %d oracle calls, fallback %v", res.Diag.SplitterCalls, res.UsedFallback)
+	}
+	if res.Stats.ClassBoundary != nil {
+		t.Fatal("level postlude computed per-class boundary costs")
+	}
+	const runs = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= uint64(8*n) {
+		t.Fatalf("strict-prior level refine allocated %d bytes per run, want < 8·N = %d", perRun, 8*n)
 	}
 }

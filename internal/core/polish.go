@@ -10,6 +10,8 @@ package core
 // uniform-weight regime, where the window (1 − 1/k)·‖w‖∞ < ‖w‖∞ forbids
 // any single-vertex move but allows weight-neutral exchanges.
 
+import "repro/internal/graph"
+
 // polishState carries the incremental bookkeeping of the pass.
 type polishState struct {
 	c   *ctx
@@ -28,8 +30,10 @@ type polishState struct {
 	avg, window, tol float64
 }
 
-func (c *ctx) polish(chi []int32, k int, rounds int) []int32 {
-	return c.polishRegion(chi, k, rounds, nil)
+// polish runs the pass on chi, whose weight-only strictness check is b;
+// the pass takes ownership of b.ClassWeight as its running class weights.
+func (c *ctx) polish(chi []int32, b graph.Balance, rounds int) []int32 {
+	return c.polishRegion(chi, b, rounds, nil)
 }
 
 // polishLocal is the localized polish pass: candidates are restricted to
@@ -37,7 +41,7 @@ func (c *ctx) polish(chi []int32, k int, rounds int) []int32 {
 // topology mutation plus its border, where new boundary costs can appear),
 // while balance feasibility stays global. With an empty dirty set it
 // degenerates to a no-op sweep.
-func (c *ctx) polishLocal(chi []int32, k int, rounds int, dirty []int32) []int32 {
+func (c *ctx) polishLocal(chi []int32, b graph.Balance, rounds int, dirty []int32) []int32 {
 	g := c.g
 	active := make([]bool, g.N())
 	for _, v := range dirty {
@@ -46,10 +50,11 @@ func (c *ctx) polishLocal(chi []int32, k int, rounds int, dirty []int32) []int32
 			active[g.Other(e, v)] = true
 		}
 	}
-	return c.polishRegion(chi, k, rounds, active)
+	return c.polishRegion(chi, b, rounds, active)
 }
 
-func (c *ctx) polishRegion(chi []int32, k int, rounds int, active []bool) []int32 {
+func (c *ctx) polishRegion(chi []int32, b graph.Balance, rounds int, active []bool) []int32 {
+	k := len(b.ClassWeight)
 	if k <= 1 || rounds <= 0 {
 		return append([]int32(nil), chi...)
 	}
@@ -58,9 +63,12 @@ func (c *ctx) polishRegion(chi []int32, k int, rounds int, active []bool) []int3
 		c:      c,
 		k:      k,
 		out:    append([]int32(nil), chi...),
-		cw:     g.ClassWeights(chi, k),
+		cw:     b.ClassWeight,
 		cb:     g.ClassBoundaryCosts(chi, k),
 		active: active,
+		avg:    b.AvgWeight,
+		window: b.StrictBound,
+		tol:    b.Tol,
 	}
 	if active != nil {
 		for v, a := range active {
@@ -69,11 +77,6 @@ func (c *ctx) polishRegion(chi []int32, k int, rounds int, active []bool) []int3
 			}
 		}
 	}
-	total := totalOf(g.Weight)
-	maxw := maxOf(g.Weight)
-	ps.avg = total / float64(k)
-	ps.window = (1 - 1/float64(k)) * maxw
-	ps.tol = 1e-9 * (ps.avg + maxw + 1)
 
 	for round := 0; round < rounds; round++ {
 		if c.interrupted() {

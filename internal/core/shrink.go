@@ -43,7 +43,7 @@ func (c *ctx) shrink(classes [][]int32, w []float64) shrinkResult {
 	// Impact measures for the corollaries: π and deg_W; the boundary cost
 	// is handled inside the extractors.
 	degW := c.degreesWithin(W)
-	impactMeasures := [][]float64{c.pi, degW}
+	impactMeasures := [][]float64{c.splittingCost(), degW}
 
 	work := make([][]int32, k)
 	for i := range classes {

@@ -24,10 +24,10 @@ func TestShrinkRemainderShrinks(t *testing.T) {
 
 	sizeBefore := g.N()
 	size1 := 0
-	pi1, piBefore := 0.0, measure.Measure(c.pi).Total()
+	pi1, piBefore := 0.0, measure.Measure(c.splittingCost()).Total()
 	for i := 0; i < k; i++ {
 		size1 += len(sr.classes1[i])
-		pi1 += sumOver(c.pi, sr.classes1[i])
+		pi1 += sumOver(c.splittingCost(), sr.classes1[i])
 	}
 	if size1 >= sizeBefore {
 		t.Fatalf("|W₁| = %d did not shrink from %d", size1, sizeBefore)
@@ -157,7 +157,7 @@ func TestSplitterContractHelpers(t *testing.T) {
 	// extractChunk's contract-violation fallback: oversized oracle output.
 	gr, g := gridGraph(t, 6, 6)
 	bad := &oversizeSplitter{inner: splitter.NewGrid(gr)}
-	c := &ctx{g: g, sp: bad, p: 2, pi: measure.SplittingCost(g, 2, 1)}
+	c := &ctx{g: g, sp: bad, p: 2}
 	U := graph.AllVertices(g)
 	maxw := maxOf(g.Weight)
 	X := c.extractChunk(U, g.Weight, maxw)

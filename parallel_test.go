@@ -3,8 +3,8 @@ package repro
 // Parallel-multilevel determinism coverage (DESIGN.md §14): Parallelism N
 // must produce byte-identical colorings to Parallelism 1 through the full
 // multilevel path — parallel matching proposals, contraction sweeps, the
-// FM gain scan, the π prefetch overlap and the polish border scan all
-// claim placement-only parallelism, and this file is where the claim is
+// π sweep, the FM gain scan and the polish border scan all claim
+// placement-only parallelism, and this file is where the claim is
 // pinned. CI runs this package under -race, so the cancel test below
 // doubles as the pool's race check.
 
@@ -125,9 +125,9 @@ func TestMultilevelColdOraclesKnob(t *testing.T) {
 
 // TestMultilevelParallelCancel cancels Parallelism-4 multilevel runs at
 // increasing depths — mid-coarsening, the coarsest solve, per-level
-// refines with the π prefetch in flight — and checks each run unwinds to
-// ctx.Err() with no partial result and that every pool worker and
-// prefetch goroutine has drained. CI runs this under -race.
+// refines — and checks each run unwinds to ctx.Err() with no partial
+// result and that every pool worker has drained. CI runs this under
+// -race.
 func TestMultilevelParallelCancel(t *testing.T) {
 	gr := grid.MustBox(256, 256)
 	workload.ApplyFields(gr, workload.LognormalWeights(0.5), nil, 1)
