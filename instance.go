@@ -384,8 +384,7 @@ func seedAcross(g2 *graph.Graph, p *graph.TopologyPatch, prior []int32, k int) [
 	for v := int32(p.Survivors); int(v) < g2.N(); v++ {
 		best := int32(-1)
 		bw := math.Inf(1)
-		for _, e := range g2.IncidentEdges(v) {
-			o := g2.Other(e, v)
+		for _, o := range g2.Neighbors(v) {
 			if c := seed[o]; c >= 0 && cw[c] < bw {
 				best, bw = c, cw[c]
 			}

@@ -214,8 +214,9 @@ func heavyEdgeMatch(ctx context.Context, g *graph.Graph, maxWeight float64, par 
 func scanBestMatch(g *graph.Graph, assign []int32, v int32, maxWeight float64) int32 {
 	best := int32(-1)
 	bestCost := -1.0
-	for _, e := range g.IncidentEdges(v) {
-		o := g.Other(e, v)
+	nb := g.Neighbors(v)
+	for i, e := range g.IncidentEdges(v) {
+		o := nb[i]
 		if assign[o] >= 0 {
 			continue
 		}
@@ -261,8 +262,9 @@ func proposeMatches(ctx context.Context, g *graph.Graph, maxWeight float64, pref
 			for v := int32(lo); int(v) < hi; v++ {
 				best := int32(-1)
 				bestCost := -1.0
-				for _, e := range g.IncidentEdges(v) {
-					o := g.Other(e, v)
+				nb := g.Neighbors(v)
+				for i, e := range g.IncidentEdges(v) {
+					o := nb[i]
 					if maxWeight > 0 && g.Weight[v]+g.Weight[o] > maxWeight {
 						continue
 					}

@@ -177,8 +177,9 @@ func Update(ctx context.Context, h *Hierarchy, fine *graph.Graph, oldToNew []int
 			// available edge first, respecting the weight cap.
 			best := int32(-1)
 			bestCost := -1.0
-			for _, e := range cur.IncidentEdges(v) {
-				o := cur.Other(e, v)
+			nb := cur.Neighbors(v)
+			for i, e := range cur.IncidentEdges(v) {
+				o := nb[i]
 				if newAssign[o] >= 0 || !pooled(o) {
 					continue
 				}

@@ -76,11 +76,12 @@ func (c *ctx) minMaxBalanced(k int, user [][]float64) []int32 {
 				hi = len(vinSet)
 			}
 			for _, v := range vinSet[ci*grain : hi] {
-				for _, e := range c.g.IncidentEdges(v) {
+				nb := c.g.Neighbors(v)
+				for i, e := range c.g.IncidentEdges(v) {
 					if !mono[e] {
 						continue
 					}
-					if !in[c.g.Other(e, v)] {
+					if !in[nb[i]] {
 						phi[v] += c.g.Cost[e]
 					}
 				}

@@ -46,8 +46,8 @@ func (c *ctx) polishLocal(chi []int32, b graph.Balance, rounds int, dirty []int3
 	active := make([]bool, g.N())
 	for _, v := range dirty {
 		active[v] = true
-		for _, e := range g.IncidentEdges(v) {
-			active[g.Other(e, v)] = true
+		for _, o := range g.Neighbors(v) {
+			active[o] = true
 		}
 	}
 	return c.polishRegion(chi, b, rounds, active)
@@ -97,8 +97,9 @@ func (c *ctx) polishRegion(chi []int32, b graph.Balance, rounds int, active []bo
 func (ps *polishState) moveDelta(v, to int32) (dFrom, dTo float64) {
 	g := ps.c.g
 	from := ps.out[v]
-	for _, e := range g.IncidentEdges(v) {
-		o := g.Other(e, v)
+	nb := g.Neighbors(v)
+	for i, e := range g.IncidentEdges(v) {
+		o := nb[i]
 		cost := g.Cost[e]
 		switch ps.out[o] {
 		case from:
@@ -208,8 +209,8 @@ func (ps *polishState) round() bool {
 		}
 	} else {
 		for _, x := range ps.activeList {
-			for _, e := range g.IncidentEdges(x) {
-				if ps.out[g.Other(e, x)] != ps.out[x] {
+			for _, o := range g.Neighbors(x) {
+				if ps.out[o] != ps.out[x] {
 					isBorder[x] = true
 					border[ps.out[x]] = append(border[ps.out[x]], x)
 					break
@@ -240,9 +241,9 @@ func (ps *polishState) round() bool {
 			// ties broken toward the lowest class id. (A map here would
 			// break determinism: with unit costs ties are common, and map
 			// iteration order would pick different receivers run to run.)
-			for _, e := range g.IncidentEdges(v) {
-				o := g.Other(e, v)
-				if cls := ps.out[o]; cls != donor {
+			nb := g.Neighbors(v)
+			for i, e := range g.IncidentEdges(v) {
+				if cls := ps.out[nb[i]]; cls != donor {
 					if !inTouched[cls] {
 						inTouched[cls] = true
 						touchedCls = append(touchedCls, cls)

@@ -142,8 +142,8 @@ func (c *ctx) degreesWithin(W []int32) []float64 {
 	deg := make([]float64, c.g.N())
 	for _, v := range W {
 		d := 0
-		for _, e := range c.g.IncidentEdges(v) {
-			if in[c.g.Other(e, v)] {
+		for _, o := range c.g.Neighbors(v) {
+			if in[o] {
 				d++
 			}
 		}

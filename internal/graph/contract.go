@@ -66,12 +66,14 @@ func ContractPar(g *Graph, assign []int32, coarseN, par int) (*Contraction, erro
 	if coarseN < 0 || (n > 0 && coarseN < 1) || coarseN > n {
 		return nil, fmt.Errorf("graph: Contract coarseN %d out of range for N %d", coarseN, n)
 	}
-	qs := acquireQuotient(coarseN, n)
+	qs := acquireQuotient(coarseN)
 	defer releaseQuotient(qs)
 
 	// Member-list counting sort (start counts double as the surjectivity
-	// check), plus assignment validation in the same sweep.
-	start, fill, members := qs.start, qs.fill, qs.memb
+	// check), plus assignment validation in the same sweep. start is its
+	// own fill cursor, as in buildAdjacency: the fill advances start[cu]
+	// to cu's end, and one shift by a slot restores the starts.
+	start, members := qs.memberLists(coarseN, n)
 	for v, cu := range assign {
 		if cu < 0 || int(cu) >= coarseN {
 			return nil, fmt.Errorf("graph: Contract assignment of vertex %d out of range: %d", v, cu)
@@ -86,9 +88,11 @@ func ContractPar(g *Graph, assign []int32, coarseN, par int) (*Contraction, erro
 	}
 	for v := 0; v < n; v++ {
 		cu := assign[v]
-		members[start[cu]+fill[cu]] = int32(v)
-		fill[cu]++
+		members[start[cu]] = int32(v)
+		start[cu]++
 	}
+	copy(start[1:], start[:coarseN])
+	start[0] = 0
 
 	// Coarse weights: w[cu] sums cu's members in ascending fine id — the
 	// identical per-accumulator floating-point order as the historical
@@ -120,8 +124,8 @@ func ContractPar(g *Graph, assign []int32, coarseN, par int) (*Contraction, erro
 		total := 0
 		for cu := int32(lo); int(cu) < hi; cu++ {
 			for _, v := range members[start[cu]:start[cu+1]] {
-				for _, e := range g.IncidentEdges(v) {
-					co := assign[g.Other(e, v)]
+				for _, o := range g.Neighbors(v) {
+					co := assign[o]
 					if co <= cu {
 						continue
 					}
@@ -140,8 +144,9 @@ func ContractPar(g *Graph, assign []int32, coarseN, par int) (*Contraction, erro
 		k := 0
 		for cu := int32(lo); int(cu) < hi; cu++ {
 			for _, v := range members[start[cu]:start[cu+1]] {
-				for _, e := range g.IncidentEdges(v) {
-					co := assign[g.Other(e, v)]
+				nb := g.Neighbors(v)
+				for i, e := range g.IncidentEdges(v) {
+					co := assign[nb[i]]
 					if co <= cu {
 						continue // internal, or counted from co's sweep
 					}
@@ -190,7 +195,7 @@ func ContractPar(g *Graph, assign []int32, coarseN, par int) (*Contraction, erro
 				//repro:nondeterministic-ok phase workers write disjoint chunk windows (counts, then offset ranges of the final arrays) and the caller joins before reading — DESIGN.md §14
 				go func() {
 					defer wg.Done()
-					q := acquireQuotient(coarseN, 0)
+					q := acquireQuotient(coarseN)
 					defer releaseQuotient(q)
 					work(q)
 				}()

@@ -3,9 +3,20 @@
 // with non-negative costs on the edges and non-negative weights on the
 // vertices, exactly as in Steurer (SPAA 2006), Section 1 ("Notation").
 //
-// The representation is a compact CSR-style adjacency over an edge list.
+// The representation is a compact CSR adjacency over an edge list.
 // Vertices are identified by int32 ids in [0, N). Edges are identified by
 // int32 ids in [0, M); edge e has endpoints (U[e], V[e]) with U[e] < V[e].
+// Each adjacency slot of v is an (edge id, neighbor id) pair: the slices
+// IncidentEdges(v) and Neighbors(v) are aligned, so the one way to walk a
+// neighborhood is
+//
+//	nb := g.Neighbors(v)
+//	for i, e := range g.IncidentEdges(v) {
+//		o := nb[i] // the endpoint of e that is not v
+//		...
+//	}
+//
+// and `for _, o := range g.Neighbors(v)` when the edge id is unused.
 package graph
 
 import (
@@ -29,10 +40,12 @@ type Graph struct {
 	// Weight[v] is the non-negative weight of vertex v (w_v in the paper).
 	Weight []float64
 
-	// CSR adjacency: incident edge ids of vertex v are
-	// adjEdge[adjStart[v]:adjStart[v+1]].
+	// CSR adjacency: the slots of vertex v are adjStart[v]:adjStart[v+1].
+	// Slot i holds an incident edge id adjEdge[i] and the neighbor across
+	// it, adjNbr[i], the endpoint of that edge that is not v.
 	adjStart []int32
 	adjEdge  []int32
+	adjNbr   []int32
 }
 
 // N returns the number of vertices.
@@ -47,22 +60,17 @@ func (g *Graph) Size() int { return g.numV + len(g.edgeU) }
 // Endpoints returns the two endpoints of edge e, with the first smaller.
 func (g *Graph) Endpoints(e int32) (int32, int32) { return g.edgeU[e], g.edgeV[e] }
 
-// Other returns the endpoint of edge e that is not v.
-// It panics if v is not an endpoint of e.
-func (g *Graph) Other(e, v int32) int32 {
-	switch v {
-	case g.edgeU[e]:
-		return g.edgeV[e]
-	case g.edgeV[e]:
-		return g.edgeU[e]
-	}
-	panic(fmt.Sprintf("graph: vertex %d is not an endpoint of edge %d", v, e))
-}
-
 // IncidentEdges returns the edge ids incident to v. The returned slice
 // aliases internal storage and must not be modified.
 func (g *Graph) IncidentEdges(v int32) []int32 {
 	return g.adjEdge[g.adjStart[v]:g.adjStart[v+1]]
+}
+
+// Neighbors returns the neighbors of v, aligned with IncidentEdges(v):
+// Neighbors(v)[i] is the endpoint of IncidentEdges(v)[i] that is not v.
+// The returned slice aliases internal storage and must not be modified.
+func (g *Graph) Neighbors(v int32) []int32 {
+	return g.adjNbr[g.adjStart[v]:g.adjStart[v+1]]
 }
 
 // Degree returns the number of edges incident to v.
@@ -193,7 +201,8 @@ func (g *Graph) LocalFluctuation() float64 {
 
 // Validate checks structural invariants and returns an error describing the
 // first violation found: endpoint ordering, id ranges, self-loops, parallel
-// edges, negative costs or weights, and CSR consistency.
+// edges, negative costs or weights, and CSR consistency (every edge in both
+// endpoints' slots, each slot's neighbor the other endpoint of its edge).
 func (g *Graph) Validate() error {
 	n, m := g.numV, len(g.edgeU)
 	if len(g.edgeV) != m || len(g.Cost) != m {
@@ -206,8 +215,8 @@ func (g *Graph) Validate() error {
 	if len(g.adjStart) != n+1 {
 		return fmt.Errorf("graph: adjStart length %d != N+1 %d", len(g.adjStart), n+1)
 	}
-	if len(g.adjEdge) != 2*m {
-		return fmt.Errorf("graph: adjEdge length %d != 2M %d", len(g.adjEdge), 2*m)
+	if len(g.adjEdge) != 2*m || len(g.adjNbr) != 2*m {
+		return fmt.Errorf("graph: adjEdge/adjNbr lengths %d/%d != 2M %d", len(g.adjEdge), len(g.adjNbr), 2*m)
 	}
 	seen := make(map[[2]int32]bool, m)
 	for e := 0; e < m; e++ {
@@ -241,12 +250,21 @@ func (g *Graph) Validate() error {
 	// Each edge must appear exactly once in each endpoint's adjacency.
 	count := make([]int, m)
 	for v := int32(0); v < int32(n); v++ {
-		for _, e := range g.IncidentEdges(v) {
+		nb := g.Neighbors(v)
+		for i, e := range g.IncidentEdges(v) {
 			if e < 0 || int(e) >= m {
 				return fmt.Errorf("graph: adjacency of %d references edge %d out of range", v, e)
 			}
-			if g.edgeU[e] != v && g.edgeV[e] != v {
+			u2, v2 := g.edgeU[e], g.edgeV[e]
+			if u2 != v && v2 != v {
 				return fmt.Errorf("graph: adjacency of %d references non-incident edge %d", v, e)
+			}
+			o := u2
+			if o == v {
+				o = v2
+			}
+			if nb[i] != o {
+				return fmt.Errorf("graph: adjacency of %d stores neighbor %d across edge %d, want %d", v, nb[i], e, o)
 			}
 			count[e]++
 		}
@@ -269,6 +287,7 @@ func (g *Graph) Clone() *Graph {
 		Weight:   append([]float64(nil), g.Weight...),
 		adjStart: append([]int32(nil), g.adjStart...),
 		adjEdge:  append([]int32(nil), g.adjEdge...),
+		adjNbr:   append([]int32(nil), g.adjNbr...),
 	}
 	return h
 }
@@ -365,26 +384,33 @@ func (b *Builder) MustBuild() *Graph {
 	return g
 }
 
+// buildAdjacency fills the CSR from the edge list: each vertex's slots list
+// its incident edges in ascending edge id, each next to its neighbor.
+// The start array is its own fill cursor: after the prefix pass start[v]
+// is v's first slot, the fill advances it to v's end, which is v+1's first
+// slot, and one shift by a slot restores the starts.
 func (g *Graph) buildAdjacency() {
 	n, m := g.numV, len(g.edgeU)
-	deg := make([]int32, n+1)
+	start := make([]int32, n+1)
 	for e := 0; e < m; e++ {
-		deg[g.edgeU[e]+1]++
-		deg[g.edgeV[e]+1]++
+		start[g.edgeU[e]+1]++
+		start[g.edgeV[e]+1]++
 	}
 	for v := 0; v < n; v++ {
-		deg[v+1] += deg[v]
+		start[v+1] += start[v]
 	}
-	g.adjStart = deg
-	g.adjEdge = make([]int32, 2*m)
-	fill := make([]int32, n)
+	adjEdge := make([]int32, 2*m)
+	adjNbr := make([]int32, 2*m)
 	for e := 0; e < m; e++ {
 		u, v := g.edgeU[e], g.edgeV[e]
-		g.adjEdge[g.adjStart[u]+fill[u]] = int32(e)
-		fill[u]++
-		g.adjEdge[g.adjStart[v]+fill[v]] = int32(e)
-		fill[v]++
+		adjEdge[start[u]], adjNbr[start[u]] = int32(e), v
+		start[u]++
+		adjEdge[start[v]], adjNbr[start[v]] = int32(e), u
+		start[v]++
 	}
+	copy(start[1:], start[:n])
+	start[0] = 0
+	g.adjStart, g.adjEdge, g.adjNbr = start, adjEdge, adjNbr
 }
 
 // FromEdges builds a graph directly from parallel edge slices.

@@ -119,8 +119,9 @@ func (g *Graph) FindEdge(u, v int32) int32 {
 	if g.Degree(v) < g.Degree(u) {
 		u, v = v, u
 	}
-	for _, e := range g.IncidentEdges(u) {
-		if g.Other(e, u) == v {
+	nb := g.Neighbors(u)
+	for i, e := range g.IncidentEdges(u) {
+		if nb[i] == v {
 			return e
 		}
 	}
@@ -320,8 +321,8 @@ func ApplyMutation(g *Graph, mut Mutation) (*TopologyPatch, error) {
 		}
 	}
 	for _, r := range mut.RemoveVertices {
-		for _, e := range g.IncidentEdges(r) {
-			if no := oldToNew[g.Other(e, r)]; no >= 0 {
+		for _, o := range g.Neighbors(r) {
+			if no := oldToNew[o]; no >= 0 {
 				dirty[no] = true
 			}
 		}

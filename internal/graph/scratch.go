@@ -115,30 +115,27 @@ func (ms *MatchScratch) Release() { matchPool.Put(ms) }
 // ---- quotient (contraction) scratch ----
 
 // quotientScratch is the pooled workspace of Contract: the counting-sort
-// member lists (start/fill/members) and the stamped coarse-neighbor dedup
-// table (stamp/slot). The dedup table is epoch-stamped with an int64 base
+// member lists (start/memb) and the stamped coarse-neighbor dedup table
+// (stamp/slot). The dedup table is epoch-stamped with an int64 base
 // that advances by coarseN per acquisition: coarse vertex co is "seen
 // during cu's sweep" iff stamp[co] == base+cu, so neither acquisition nor
 // the per-cu sweeps ever pay an O(coarseN) wipe. Parallel contraction
 // acquires one workspace per worker (each worker needs a private dedup
-// table); only the first worker's start/members are used.
+// table); only the first worker sizes member lists (memberLists).
 type quotientScratch struct {
 	stamp []int64 // dedup: seen iff stamp[co] == base+cu
 	base  int64
 	span  int64 // stamp range of the current acquisition (its coarseN)
 	slot  []int32
 	start []int32
-	fill  []int32
 	memb  []int32
 }
 
 var quotientPool = sync.Pool{New: func() any { return &quotientScratch{} }}
 
-// acquireQuotient returns a workspace for a contraction of n fine vertices
-// into coarseN coarse ones, with the dedup epoch advanced past every stale
-// stamp. start and fill come back zeroed (they are counting accumulators);
-// members is uninitialized (fully written by the counting sort).
-func acquireQuotient(coarseN, n int) *quotientScratch {
+// acquireQuotient returns a workspace whose dedup table covers coarseN
+// coarse vertices, with the dedup epoch advanced past every stale stamp.
+func acquireQuotient(coarseN int) *quotientScratch {
 	s := quotientPool.Get().(*quotientScratch)
 	if s.base > math.MaxInt64-s.span-2*int64(coarseN)-2 {
 		clear(s.stamp)
@@ -159,21 +156,23 @@ func acquireQuotient(coarseN, n int) *quotientScratch {
 		s.slot = make([]int32, coarseN)
 	}
 	s.slot = s.slot[:cap(s.slot)]
+	return s
+}
+
+// memberLists sizes the counting-sort arrays of a contraction of n fine
+// vertices into coarseN coarse ones: start comes back zeroed (it is a
+// counting accumulator), members uninitialized (fully written by the sort).
+func (s *quotientScratch) memberLists(coarseN, n int) (start, members []int32) {
 	if cap(s.start) < coarseN+1 {
 		s.start = make([]int32, coarseN+1)
 	}
 	s.start = s.start[:coarseN+1]
 	clear(s.start)
-	if cap(s.fill) < coarseN {
-		s.fill = make([]int32, coarseN)
-	}
-	s.fill = s.fill[:coarseN]
-	clear(s.fill)
 	if cap(s.memb) < n {
 		s.memb = make([]int32, n)
 	}
 	s.memb = s.memb[:n]
-	return s
+	return s.start, s.memb
 }
 
 // releaseQuotient returns the workspace to the pool.

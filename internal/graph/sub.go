@@ -59,8 +59,9 @@ func (s *Sub) EdgesWithin() []int32 {
 	defer releaseScratch(sc)
 	var out []int32
 	for _, v := range s.Verts {
-		for _, e := range s.G.IncidentEdges(v) {
-			if s.in[s.G.edgeU[e]] && s.in[s.G.edgeV[e]] && !sc.seenEdge(e) {
+		nb := s.G.Neighbors(v)
+		for i, e := range s.G.IncidentEdges(v) {
+			if s.in[nb[i]] && !sc.seenEdge(e) {
 				out = append(out, e)
 			}
 		}
@@ -73,13 +74,10 @@ func (s *Sub) EdgesWithin() []int32 {
 func (s *Sub) CostWithin(f func(c float64) float64) float64 {
 	total := 0.0
 	for _, v := range s.Verts {
-		for _, e := range s.G.IncidentEdges(v) {
-			u2, v2 := s.G.edgeU[e], s.G.edgeV[e]
-			if !s.in[u2] || !s.in[v2] {
-				continue
-			}
+		nb := s.G.Neighbors(v)
+		for i, e := range s.G.IncidentEdges(v) {
 			// Count each within-edge at its smaller endpoint only.
-			if v == min32(u2, v2) {
+			if o := nb[i]; v < o && s.in[o] {
 				total += f(s.G.Cost[e])
 			}
 		}
@@ -123,9 +121,9 @@ func (s *Sub) CostNormWithin(p float64) float64 {
 // (counted at its smaller endpoint).
 func (s *Sub) eachWithinCost(f func(c float64)) {
 	for _, v := range s.Verts {
-		for _, e := range s.G.IncidentEdges(v) {
-			u2, v2 := s.G.edgeU[e], s.G.edgeV[e]
-			if s.in[u2] && s.in[v2] && v == min32(u2, v2) {
+		nb := s.G.Neighbors(v)
+		for i, e := range s.G.IncidentEdges(v) {
+			if o := nb[i]; v < o && s.in[o] {
 				f(s.G.Cost[e])
 			}
 		}
@@ -150,9 +148,9 @@ func (s *Sub) BoundaryCostWithin(inU []bool) float64 {
 		if !inU[v] {
 			continue
 		}
-		for _, e := range s.G.IncidentEdges(v) {
-			o := s.G.Other(e, v)
-			if s.in[o] && !inU[o] {
+		nb := s.G.Neighbors(v)
+		for i, e := range s.G.IncidentEdges(v) {
+			if o := nb[i]; s.in[o] && !inU[o] {
 				t += s.G.Cost[e]
 			}
 		}
@@ -180,10 +178,10 @@ func (s *Sub) InducedCopy() (*Graph, []int32) {
 		b.SetWeight(int32(i), s.G.Weight[v])
 	}
 	for _, v := range s.Verts {
-		for _, e := range s.G.IncidentEdges(v) {
-			u2, v2 := s.G.edgeU[e], s.G.edgeV[e]
-			if s.in[u2] && s.in[v2] && v == min32(u2, v2) {
-				b.AddEdge(toNew[u2], toNew[v2], s.G.Cost[e])
+		nb := s.G.Neighbors(v)
+		for i, e := range s.G.IncidentEdges(v) {
+			if o := nb[i]; v < o && s.in[o] {
+				b.AddEdge(toNew[v], toNew[o], s.G.Cost[e])
 			}
 		}
 	}
@@ -193,8 +191,8 @@ func (s *Sub) InducedCopy() (*Graph, []int32) {
 // DegreeWithin returns the degree of v inside G[W] (deg_W in Section 5).
 func (s *Sub) DegreeWithin(v int32) int {
 	d := 0
-	for _, e := range s.G.IncidentEdges(v) {
-		if s.in[s.G.Other(e, v)] {
+	for _, o := range s.G.Neighbors(v) {
+		if s.in[o] {
 			d++
 		}
 	}
@@ -208,13 +206,6 @@ func (s *Sub) SizeWithin() int {
 		m += s.DegreeWithin(v)
 	}
 	return len(s.Verts) + m/2
-}
-
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // BFSOrder returns the vertices of G[W] in breadth-first order from the
@@ -238,8 +229,7 @@ func (s *Sub) bfsFrom(sc *scratch, start int32, order []int32) []int32 {
 	for head < len(order) {
 		v := order[head]
 		head++
-		for _, e := range s.G.IncidentEdges(v) {
-			o := s.G.Other(e, v)
+		for _, o := range s.G.Neighbors(v) {
 			if s.in[o] && !sc.seen(o) {
 				order = append(order, o)
 			}
@@ -266,8 +256,7 @@ func (s *Sub) MultiBFSOrder(sources []int32) []int32 {
 	for head < len(order) {
 		v := order[head]
 		head++
-		for _, e := range s.G.IncidentEdges(v) {
-			o := s.G.Other(e, v)
+		for _, o := range s.G.Neighbors(v) {
 			if s.in[o] && !sc.seen(o) {
 				order = append(order, o)
 			}

@@ -99,8 +99,7 @@ func (s Separation) IsValid(g *graph.Graph, W []int32) bool {
 		if side[v] != 1 {
 			continue
 		}
-		for _, e := range g.IncidentEdges(v) {
-			o := g.Other(e, v)
+		for _, o := range g.Neighbors(v) {
 			if inW[o] && side[o] == 2 {
 				return false // edge joins A\B and B\A
 			}
@@ -330,8 +329,7 @@ func bfsLayers(sub *graph.Sub, start int32) [][]int32 {
 		layers = append(layers, frontier)
 		var next []int32
 		for _, v := range frontier {
-			for _, e := range sub.G.IncidentEdges(v) {
-				o := sub.G.Other(e, v)
+			for _, o := range sub.G.Neighbors(v) {
 				if sub.Contains(o) && !visited[o] {
 					visited[o] = true
 					next = append(next, o)

@@ -51,8 +51,7 @@ func (f *FromSplitter) FindSeparation(W []int32, w []float64) Separation {
 	var X []int32
 	seen := make(map[int32]bool)
 	for _, v := range U {
-		for _, e := range f.G.IncidentEdges(v) {
-			o := f.G.Other(e, v)
+		for _, o := range f.G.Neighbors(v) {
 			if inW[o] && !inU[o] && !seen[o] {
 				seen[o] = true
 				X = append(X, o)

@@ -99,8 +99,9 @@ func refine(ctx context.Context, g *graph.Graph, W, U []int32, w []float64, targ
 	gain := func(v int32) float64 {
 		sameSide, otherSide := 0.0, 0.0
 		vu := fs.inU(v)
-		for _, e := range g.IncidentEdges(v) {
-			o := g.Other(e, v)
+		nb := g.Neighbors(v)
+		for i, e := range g.IncidentEdges(v) {
+			o := nb[i]
 			if !fs.inW(o) {
 				continue
 			}

@@ -86,8 +86,8 @@ func warmOrder(g *graph.Graph, prior []int32, W []int32) []int32 {
 		if pv < 0 {
 			continue
 		}
-		for _, e := range g.IncidentEdges(v) {
-			if po := prior[g.Other(e, v)]; po >= 0 && po != pv {
+		for _, o := range g.Neighbors(v) {
+			if po := prior[o]; po >= 0 && po != pv {
 				frontier = append(frontier, v)
 				break
 			}
