@@ -1,12 +1,11 @@
 package repro
 
-// These tests exercise the batch fan-out through the deprecated
-// PartitionBatch wrapper on purpose: they pin that the wrapper still
-// delegates to Engine.Batch with unchanged semantics (indexing, the
-// *BatchError aggregation, the nil-Splitter guard). Cancellation-specific
-// Batch behavior lives in cancel_test.go on the Engine API directly.
+// These tests pin Engine.Batch's fan-out semantics: indexing, the
+// *BatchError aggregation and the nil-Splitter guard. Cancellation-specific
+// Batch behavior lives in cancel_test.go.
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -18,12 +17,13 @@ import (
 )
 
 func TestPartitionBatchMatchesIndividualRuns(t *testing.T) {
+	eng, ctx := NewEngine(), context.Background()
 	gs := make([]*graph.Graph, 6)
 	for i := range gs {
 		gs[i] = workload.ClimateMesh(16, 16, 3, int64(i+1))
 	}
 	opt := Options{K: 8, Parallelism: 4}
-	batch, err := PartitionBatch(gs, opt)
+	batch, err := eng.Batch(ctx, gs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestPartitionBatchMatchesIndividualRuns(t *testing.T) {
 		t.Fatalf("got %d results for %d instances", len(batch), len(gs))
 	}
 	for i, g := range gs {
-		solo, err := PartitionWithOptions(g, Options{K: 8, Parallelism: 1})
+		solo, err := eng.PartitionWithOptions(ctx, g, Options{K: 8, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,21 +48,22 @@ func TestPartitionBatchMatchesIndividualRuns(t *testing.T) {
 }
 
 func TestPartitionBatchErrors(t *testing.T) {
+	eng, ctx := NewEngine(), context.Background()
 	gs := []*graph.Graph{workload.ClimateMesh(8, 8, 2, 1)}
-	if _, err := PartitionBatch(gs, Options{K: 0}); err == nil {
+	if _, err := eng.Batch(ctx, gs, Options{K: 0}); err == nil {
 		t.Fatal("expected K error to propagate from batch instances")
 	} else if !strings.Contains(err.Error(), "instance 0") {
 		t.Fatalf("error %q does not identify the failing instance", err)
 	}
-	if _, err := PartitionBatch(gs, Options{K: 2, Splitter: splitter.NewBFS(gs[0])}); err == nil {
+	if _, err := eng.Batch(ctx, gs, Options{K: 2, Splitter: splitter.NewBFS(gs[0])}); err == nil {
 		t.Fatal("expected rejection of a shared Splitter in batch mode")
 	}
-	if rs, err := PartitionBatch(nil, Options{K: 4}); err != nil || len(rs) != 0 {
+	if rs, err := eng.Batch(ctx, nil, Options{K: 4}); err != nil || len(rs) != 0 {
 		t.Fatalf("empty batch: got %d results, err %v", len(rs), err)
 	}
 	// Negative parallelism follows the Options contract: sequential, not
 	// GOMAXPROCS fan-out, and still produces the standard result.
-	rs, err := PartitionBatch(gs, Options{K: 2, Parallelism: -1})
+	rs, err := eng.Batch(ctx, gs, Options{K: 2, Parallelism: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestPartitionBatchAggregatesErrors(t *testing.T) {
 		workload.ClimateMesh(8, 8, 2, 1),
 		workload.ClimateMesh(8, 8, 2, 2),
 	}
-	_, err := PartitionBatch(gs, Options{K: 2, P: 0.5})
+	_, err := NewEngine().Batch(context.Background(), gs, Options{K: 2, P: 0.5})
 	if err == nil {
 		t.Fatal("expected batch failure for invalid P")
 	}

@@ -1,11 +1,12 @@
 package repro
 
 // Golden coloring digests: fixed inputs across the multilevel path (grid
-// oracle and warm default oracles), the direct path, and both Repartition
+// oracle and default oracles), the direct path, and both Repartition
 // branches (strict prior → polish only, broken prior → Propositions 11 and
-// 12), each at Parallelism 1 and 2. The digests were recorded before the
-// pipeline's per-level passes were trimmed (DESIGN.md §14), so a mismatch
-// here means a change to the coloring, not just to where time is spent.
+// 12), each at Parallelism 1 and 2. Each digest was recorded on an earlier
+// commit (mesh48/multilevel with the unseeded per-level oracle the path
+// now always uses), so a mismatch here means a change to the coloring, not
+// just to where time is spent.
 
 import (
 	"context"
@@ -56,7 +57,7 @@ func TestColoringGoldenDigests(t *testing.T) {
 			g, opt := gridInput()
 			return eng.PartitionWithOptions(ctx, g, opt)
 		}},
-		{"mesh48/multilevel-warm", 0xf48e786f94aa815c, func(ctx context.Context, eng *Engine) (Result, error) {
+		{"mesh48/multilevel", 0x4269f9f2949a2533, func(ctx context.Context, eng *Engine) (Result, error) {
 			g := workload.ClimateMesh(48, 48, 4, 1)
 			return eng.PartitionWithOptions(ctx, g, Options{K: k, Multilevel: &Multilevel{}})
 		}},

@@ -31,18 +31,16 @@ var CtxCheckpoint = &Analyzer{
 var longWorkNames = map[string]bool{
 	"Split":          true,
 	"BFSOrder":       true,
-	"MultiBFSOrder":  true,
 	"Components":     true,
 	"EdgesWithin":    true,
 	"CostNormWithin": true,
 	"InducedCopy":    true,
 	"Contract":       true,
 	// The parallel-multilevel primitives (DESIGN.md §14): O(M) aggregation
-	// or ordering sweeps that either checkpoint internally per chunk or
-	// count as one checkpoint-granularity unit at the call site.
+	// sweeps that either checkpoint internally per chunk or count as one
+	// checkpoint-granularity unit at the call site.
 	"ContractPar":      true,
 	"SplittingCostPar": true,
-	"warmOrder":        true,
 }
 
 // checkpointNames are calls that poll (or internally poll) the run's

@@ -165,11 +165,11 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 // TestBuildAllocationChurn pins the pooled-scratch behavior (the
 // per-level allocation fix): at steady state a Build allocates only the
 // hierarchy it returns — level graphs, maps, contractions — not fresh
-// matching/quotient scratch per level. The bounds were set with ~15–20%
-// headroom over a steady state of 306 allocs / ~870 KB per op on this
-// instance; it now measures 122 allocs / ~488 KB per op (go1.24,
-// linux/amd64), of which ~80 KB are the coarse levels' CSR neighbor
-// arrays, so the bounds now catch only gross per-level churn.
+// matching/quotient scratch per level. It measures 121 allocs / ~488 KB
+// per op on this instance (go1.24, linux/amd64), and the bounds sit ~20%
+// above that. Drawing the matching and contraction scratch fresh on every
+// level instead of from the pools measures 172 allocs / ~667 KB, over
+// both bounds.
 func TestBuildAllocationChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation benchmark is a full-test concern")
@@ -184,10 +184,10 @@ func TestBuildAllocationChurn(t *testing.T) {
 			}
 		}
 	})
-	if got := r.AllocsPerOp(); got > 350 {
-		t.Fatalf("Build allocates %d objects/op, want ≤ 350 (per-level scratch churn?)", got)
+	if got := r.AllocsPerOp(); got > 145 {
+		t.Fatalf("Build allocates %d objects/op, want ≤ 145 (per-level scratch churn?)", got)
 	}
-	if got := r.AllocedBytesPerOp(); got > 1<<20 {
-		t.Fatalf("Build allocates %d bytes/op, want ≤ %d (per-level scratch churn?)", got, 1<<20)
+	if got := r.AllocedBytesPerOp(); got > 585<<10 {
+		t.Fatalf("Build allocates %d bytes/op, want ≤ %d (per-level scratch churn?)", got, 585<<10)
 	}
 }

@@ -34,7 +34,7 @@ type Options struct {
 	Observer Observer
 
 	// Parallelism bounds the worker pool used by the pipeline's
-	// divide-and-conquer stages (and by PartitionBatch at the facade).
+	// divide-and-conquer stages (and by Engine.Batch at the facade).
 	// 0 defaults to runtime.GOMAXPROCS(0); 1 runs fully sequentially,
 	// reproducing the single-threaded behavior bit-for-bit; values < 0 are
 	// treated as 1. The coloring is deterministic for a given graph and
@@ -243,8 +243,7 @@ func newCtx(run context.Context, g *graph.Graph, opt Options) (*ctx, error) {
 		par = 1
 	}
 	sp := opt.Splitter
-	spDefault := sp == nil
-	if spDefault {
+	if sp == nil {
 		rf := splitter.NewRefined(g, splitter.NewBFS(g))
 		rf.Par = par
 		sp = rf
@@ -259,14 +258,13 @@ func newCtx(run context.Context, g *graph.Graph, opt Options) (*ctx, error) {
 	opt.Splitter = sp
 	opt.Parallelism = par
 	c := &ctx{
-		g:         g,
-		sp:        sp,
-		spDefault: spDefault,
-		p:         p,
-		opt:       opt,
-		par:       par,
-		run:       run,
-		obs:       opt.Observer,
+		g:   g,
+		sp:  sp,
+		p:   p,
+		opt: opt,
+		par: par,
+		run: run,
+		obs: opt.Observer,
 	}
 	// Done() is nil for Background-style contexts, which keeps the
 	// interrupted() checkpoint free on un-cancellable runs.

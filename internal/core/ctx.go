@@ -43,13 +43,6 @@ type ctx struct {
 	// cleared by the driver after every stage that runs.
 	checked *graph.Balance
 
-	// spDefault records that sp was minted by newCtx rather than supplied
-	// by the caller. The multilevel driver uses it to decide whether the
-	// finest level's oracle may be warm-seeded from the projected coarse
-	// cut (a caller-supplied oracle — e.g. the exact grid splitter — is
-	// always respected as-is).
-	spDefault bool
-
 	par int           // resolved Options.Parallelism (≥ 1)
 	sem chan struct{} // spare-worker tokens; nil when par == 1
 

@@ -59,9 +59,6 @@ type LevelDiag struct {
 	Vertices, Edges int
 	// SplitterCalls counts the inner run's oracle invocations.
 	SplitterCalls int64
-	// WarmHits counts the oracle calls served from the warm-start frontier
-	// order (0 when the level ran a cold or caller-supplied oracle).
-	WarmHits int64
 	// Duration is the inner run's wall time.
 	Duration time.Duration
 }

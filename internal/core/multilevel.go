@@ -37,14 +37,6 @@ type Multilevel struct {
 	MinVertices int
 	// MaxLevels caps the hierarchy depth. 0 defaults to 24.
 	MaxLevels int
-	// ColdOracles disables the cross-level warm-start oracle: per-level
-	// refines then cold-start their default BFS prefix order from the
-	// smallest vertex id, as the path did before the splitter.Warm wrapper
-	// existed (the pre-warm coloring is recoverable by setting this). The
-	// default (false) seeds each level's default oracle from the projected
-	// coarse cut (DESIGN.md §14). Irrelevant when the caller supplies
-	// Splitter/SplitterFactory — supplied oracles are always used as-is.
-	ColdOracles bool
 }
 
 // resolve applies the documented defaults for a K-part run.
@@ -89,17 +81,6 @@ func defaultSplitterFactory(par int) func(g *graph.Graph) splitter.Splitter {
 	}
 }
 
-// warmRefined mints the warm-started per-level oracle: the FM-refined
-// prefix splitter whose order is seeded from the projected coarse cut
-// (prior), falling back to the cold BFS order when a call's W has no
-// prior frontier. Returns the Warm wrapper too, for WarmHits accounting.
-func warmRefined(g *graph.Graph, prior []int32, par int) (splitter.Splitter, *splitter.Warm) {
-	warm := splitter.NewWarm(g, splitter.NewBFS(g), prior)
-	rf := splitter.NewRefined(g, warm)
-	rf.Par = par
-	return rf, warm
-}
-
 // multilevelStage is the driver; see the file comment.
 type multilevelStage struct{}
 
@@ -116,10 +97,6 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 	}
 	ml := c.opt.Multilevel.resolve(c.opt.K)
 	factory := c.opt.SplitterFactory
-	// Warm-start seeding applies only to oracles this driver mints itself:
-	// a caller-supplied factory (or, at the finest level, a caller-supplied
-	// run splitter — e.g. the exact grid oracle) is always used as-is.
-	warmable := factory == nil && !ml.ColdOracles
 	if factory == nil {
 		factory = defaultSplitterFactory(c.par)
 	}
@@ -159,9 +136,7 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 	// never recurse into the multilevel path, and each graph of the
 	// hierarchy gets its own factory-built oracle. The finest level reuses
 	// the run's resolved splitter — the one bound to the input graph
-	// (possibly the caller's, e.g. an exact grid oracle) — unless that
-	// splitter was minted by default, in which case it warm-starts like
-	// every other level.
+	// (possibly the caller's, e.g. an exact grid oracle).
 	inner := c.opt
 	inner.Multilevel = nil
 
@@ -194,10 +169,7 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 		chi = hier.Levels[i].Project(chi)
 		fg := fineAt(i)
 		lopt := inner
-		var warm *splitter.Warm
-		if warmable && (fg != c.g || c.spDefault) {
-			lopt.Splitter, warm = warmRefined(fg, chi, c.par)
-		} else if fg != c.g {
+		if fg != c.g {
 			lopt.Splitter = factory(fg)
 		}
 		res, err = RefinePipeline(lopt).run(c.run, fg, lopt, chi, false)
@@ -206,14 +178,10 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 		}
 		if c.diag != nil {
 			c.diag.absorb(res.Diag)
-			ld := LevelDiag{
+			c.diag.LevelProfile = append(c.diag.LevelProfile, LevelDiag{
 				Level: i, Vertices: fg.N(), Edges: fg.M(),
 				SplitterCalls: res.Diag.SplitterCalls, Duration: res.Diag.Total,
-			}
-			if warm != nil {
-				ld.WarmHits = warm.Hits()
-			}
-			c.diag.LevelProfile = append(c.diag.LevelProfile, ld)
+			})
 		}
 		chi = res.Coloring
 	}

@@ -238,33 +238,6 @@ func (s *Sub) bfsFrom(sc *scratch, start int32, order []int32) []int32 {
 	return order
 }
 
-// MultiBFSOrder returns the vertices of G[W] reachable from any of the
-// given source vertices (which must be in W), in breadth-first order with
-// every source enqueued up front in the given order — the seeded traversal
-// behind the warm-start splitter ordering. Duplicate sources are visited
-// once. Deterministic for a fixed (W, sources).
-func (s *Sub) MultiBFSOrder(sources []int32) []int32 {
-	sc := acquireScratch(s.G.N(), 0)
-	defer releaseScratch(sc)
-	order := make([]int32, 0, len(s.Verts))
-	for _, v := range sources {
-		if !sc.seen(v) {
-			order = append(order, v)
-		}
-	}
-	head := 0
-	for head < len(order) {
-		v := order[head]
-		head++
-		for _, o := range s.G.Neighbors(v) {
-			if s.in[o] && !sc.seen(o) {
-				order = append(order, o)
-			}
-		}
-	}
-	return order
-}
-
 // Components returns the connected components of G[W] as vertex lists.
 func (s *Sub) Components() [][]int32 {
 	sc := acquireScratch(s.G.N(), 0)

@@ -31,7 +31,6 @@ type serverMetrics struct {
 	oracleCalls   *metrics.Counter
 	polishRounds  *metrics.Counter
 	polishImprove *metrics.Counter
-	warmHits      *metrics.Counter
 }
 
 func newServerMetrics() *serverMetrics {
@@ -44,8 +43,6 @@ func newServerMetrics() *serverMetrics {
 			"Polish sweeps across all pipeline runs."),
 		polishImprove: reg.Counter("repro_polish_improved_total",
 			"Polish sweeps that improved the coloring."),
-		warmHits: reg.Counter("repro_warm_oracle_hits_total",
-			"Per-level oracle calls served from the warm frontier order (DESIGN.md §14)."),
 	}
 }
 
@@ -91,13 +88,12 @@ func (m *serverMetrics) observeDiag(res repro.Result) {
 	}
 }
 
-// observeLevels records a completed multilevel run's per-level durations
-// and warm-oracle hits. Unlike the per-stage histograms, the per-level
-// profile exists only in Diagnostics (the Observer protocol carries no
-// level attribution), so this feed is called at the pipeline-run commit
-// points — the same places pipelineRuns increments — which see every
-// completed run exactly once on both the lone-job and grouped-batch
-// paths. Direct-path runs carry an empty profile and record nothing.
+// observeLevels records a completed multilevel run's per-level durations.
+// Unlike the per-stage histograms, the per-level profile exists only in
+// Diagnostics (the Observer protocol carries no level attribution), so
+// this feed is called at the pipeline-run commit points — the same places
+// pipelineRuns increments — which see every completed run exactly once on
+// both the lone-job and grouped-batch paths. Direct-path runs carry an empty profile and record nothing.
 // Level-label cardinality is bounded by Multilevel.MaxLevels (≤ 64).
 func (m *serverMetrics) observeLevels(res repro.Result) {
 	for _, ld := range res.Diag.LevelProfile {
@@ -106,9 +102,6 @@ func (m *serverMetrics) observeLevels(res repro.Result) {
 			metrics.DefaultLatencyBuckets(),
 			metrics.Label{Key: "level", Value: strconv.Itoa(ld.Level)}).
 			Observe(ld.Duration.Seconds())
-		if ld.WarmHits > 0 {
-			m.warmHits.Add(ld.WarmHits)
-		}
 	}
 }
 

@@ -263,8 +263,6 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		"# TYPE repro_sessions gauge",
 		"# HELP repro_stage_duration_seconds Pipeline stage wall time by stage name, in seconds.",
 		"# TYPE repro_stage_duration_seconds histogram",
-		"# HELP repro_warm_oracle_hits_total Per-level oracle calls served from the warm frontier order (DESIGN.md §14).",
-		"# TYPE repro_warm_oracle_hits_total counter",
 	}
 	if !reflect.DeepEqual(headers, want) {
 		t.Fatalf("HELP/TYPE surface drifted:\n--- got ---\n%s\n--- want ---\n%s",

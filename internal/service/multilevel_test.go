@@ -17,8 +17,8 @@ func TestOptionsKeyMultilevelSeparation(t *testing.T) {
 		t.Fatalf("direct key format changed: %s", direct)
 	}
 	ml := OptionsKey(repro.Options{K: 8, Multilevel: &repro.Multilevel{}})
-	if ml == direct {
-		t.Fatal("multilevel and direct options share a cache key")
+	if ml != direct+";ml0,0" {
+		t.Fatalf("multilevel key format changed: %s", ml)
 	}
 	ml2 := OptionsKey(repro.Options{K: 8, Multilevel: &repro.Multilevel{MinVertices: 64}})
 	if ml2 == ml {
@@ -91,6 +91,12 @@ func TestPartitionMultilevelValidation(t *testing.T) {
 		if code != http.StatusBadRequest {
 			t.Fatalf("config %+v answered %d, want 400", ml, code)
 		}
+	}
+	// Unknown multilevel fields are rejected, not ignored.
+	raw := map[string]any{"graph_id": up.GraphID, "k": 4,
+		"multilevel": map[string]any{"warm_start": false}}
+	if code := postJSON(t, ts.URL+"/v1/partition", raw, nil); code != http.StatusBadRequest {
+		t.Fatalf("unknown multilevel field answered %d, want 400", code)
 	}
 }
 

@@ -233,3 +233,31 @@ func TestPersistOffIsUnchanged(t *testing.T) {
 		t.Errorf("persistence counters must stay zero without a store: %+v", st)
 	}
 }
+
+// TestOptionsRecRoundTripsRequestKey pins the identity recOptions
+// promises: every option set the wire can produce logs to an OptionsRec
+// that recovers under the same cache key, so a result cached before a
+// restart is found again under the key a repeated request computes.
+func TestOptionsRecRoundTripsRequestKey(t *testing.T) {
+	s := &Server{cfg: Config{MaxK: 1 << 16}}
+	mls := []*MultilevelWire{
+		nil,
+		{},
+		{MinVertices: 64},
+		{MaxLevels: 3},
+		{MinVertices: 2048, MaxLevels: 12},
+	}
+	for _, p := range []float64{0, 2, 1.5, 3} {
+		for _, ml := range mls {
+			opt, err := s.requestOptions(16, p, ml)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const id = "g-roundtrip"
+			want := requestKey(id, opt)
+			if got := requestKey(id, recOptions(optionsRec(opt))); got != want {
+				t.Errorf("p=%g multilevel=%+v: recovered key %q, want %q", p, ml, got, want)
+			}
+		}
+	}
+}

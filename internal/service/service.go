@@ -467,7 +467,6 @@ func (s *Server) requestOptions(k int, p float64, ml *MultilevelWire) (repro.Opt
 		opt.Multilevel = &repro.Multilevel{
 			MinVertices: ml.MinVertices,
 			MaxLevels:   ml.MaxLevels,
-			ColdOracles: ml.ColdOracles,
 		}
 	}
 	return opt, nil

@@ -54,12 +54,6 @@ type PartitionRequest struct {
 type MultilevelWire struct {
 	MinVertices int `json:"min_vertices,omitempty"`
 	MaxLevels   int `json:"max_levels,omitempty"`
-	// ColdOracles disables the cross-level warm-start oracle (DESIGN.md
-	// §14), restoring the pre-warm per-level coloring. Part of result
-	// identity, so it participates in OptionsKey. Schema note: additive
-	// field — absent means false, the historical behavior of clients that
-	// predate it is unchanged.
-	ColdOracles bool `json:"cold_oracles,omitempty"`
 }
 
 // PartitionResponse answers POST /v1/partition.
@@ -239,7 +233,6 @@ type LevelWire struct {
 	Vertices      int   `json:"vertices"`
 	Edges         int   `json:"edges"`
 	SplitterCalls int64 `json:"splitter_calls"`
-	WarmHits      int64 `json:"warm_hits,omitempty"`
 	DurationNS    int64 `json:"duration_ns"`
 }
 
@@ -336,7 +329,6 @@ func diagWire(res repro.Result) DiagWire {
 			Vertices:      ld.Vertices,
 			Edges:         ld.Edges,
 			SplitterCalls: ld.SplitterCalls,
-			WarmHits:      ld.WarmHits,
 			DurationNS:    ld.Duration.Nanoseconds(),
 		})
 	}

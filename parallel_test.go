@@ -76,53 +76,6 @@ func TestMultilevelParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestMultilevelColdOraclesKnob pins the ColdOracles contract: the knob
-// changes the per-level oracle seeding (so it is part of result identity
-// and of OptionsKey), both settings keep the full guarantee surface, and
-// the knob is deterministic in itself.
-func TestMultilevelColdOraclesKnob(t *testing.T) {
-	mesh := workload.ClimateMesh(40, 40, 4, 9)
-	eng := NewEngine()
-	run := func(cold bool) Result {
-		t.Helper()
-		res, err := eng.PartitionWithOptions(context.Background(), mesh, Options{
-			K: 8, Parallelism: 1,
-			Multilevel: &Multilevel{MinVertices: 64, ColdOracles: cold},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v := Verify(mesh, Options{K: 8}, res, 20); !v.OK() {
-			t.Fatalf("cold=%v failed verification: %v", cold, v.Errors)
-		}
-		return res
-	}
-	warm1, warm2, cold1, cold2 := run(false), run(false), run(true), run(true)
-	for v := range warm1.Coloring {
-		if warm1.Coloring[v] != warm2.Coloring[v] {
-			t.Fatalf("warm path nondeterministic at %d", v)
-		}
-		if cold1.Coloring[v] != cold2.Coloring[v] {
-			t.Fatalf("cold path nondeterministic at %d", v)
-		}
-	}
-	if len(warm1.Diag.LevelProfile) == 0 {
-		t.Fatal("multilevel run reported no per-level profile")
-	}
-	hits := int64(0)
-	for _, ld := range warm1.Diag.LevelProfile {
-		hits += ld.WarmHits
-	}
-	if hits == 0 {
-		t.Fatal("warm path reported zero warm-oracle hits on a coarsening mesh")
-	}
-	for _, ld := range cold1.Diag.LevelProfile {
-		if ld.WarmHits != 0 {
-			t.Fatalf("cold path reported %d warm hits at level %d", ld.WarmHits, ld.Level)
-		}
-	}
-}
-
 // TestMultilevelParallelCancel cancels Parallelism-4 multilevel runs at
 // increasing depths — mid-coarsening, the coarsest solve, per-level
 // refines — and checks each run unwinds to ctx.Err() with no partial
