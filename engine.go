@@ -24,17 +24,14 @@ type Observer = core.Observer
 type NopObserver = core.NopObserver
 
 // StageName re-exports the pipeline stage identifier used by Observer
-// events. (The underlying core package also exposes the composable Stage
-// interface and Pipeline driver these names instrument; the facade keeps
-// policy-level knobs only — assemble custom pipelines against
-// internal/core directly.)
+// events.
 type StageName = core.StageName
 
 // The pipeline stages, in the order a full direct Partition visits them; a
 // Repartition resumes at StageAlmostStrict (or straight at StagePolish
 // when the prior coloring is still strictly balanced), and a multilevel
 // Partition opens with StageMultilevel/StageCoarsen before the per-level
-// inner pipelines replay the classic stages.
+// inner runs replay the classic stages.
 const (
 	StageMultiBalance = core.StageMultiBalance
 	StageAlmostStrict = core.StageAlmostStrict

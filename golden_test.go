@@ -1,9 +1,9 @@
 package repro
 
 // Golden coloring digests: fixed inputs across the multilevel path (grid
-// oracle and default oracles), the direct path, and both Repartition
-// branches (strict prior → polish only, broken prior → Propositions 11 and
-// 12), each at Parallelism 1 and 2. Each digest was recorded on an earlier
+// oracle and default oracles), the direct path, both Repartition branches
+// (strict prior → polish only, broken prior → Propositions 11 and 12) and
+// a topology delta (the dirty-region refine), each at Parallelism 1 and 2. Each digest was recorded on an earlier
 // commit (mesh48/multilevel with the unseeded per-level oracle the path
 // now always uses), so a mismatch here means a change to the coloring, not
 // just to where time is spent.
@@ -70,6 +70,9 @@ func TestColoringGoldenDigests(t *testing.T) {
 		{"mesh32/repartition-broken-prior", 0x35637a7e0586be0a, func(ctx context.Context, eng *Engine) (Result, error) {
 			return repartitionDrifted(ctx, t, eng, drifted(4), false)
 		}},
+		{"mesh32/repartition-topology", 0xe0f17877a2a4f409, func(ctx context.Context, eng *Engine) (Result, error) {
+			return repartitionTopology(ctx, eng)
+		}},
 	}
 	for _, tc := range cases {
 		for _, par := range []int{1, 2} {
@@ -82,6 +85,26 @@ func TestColoringGoldenDigests(t *testing.T) {
 			}
 		}
 	}
+}
+
+// repartitionTopology partitions the 32² mesh in a session and applies
+// a topology delta, which resumes through the dirty-region refine.
+func repartitionTopology(ctx context.Context, eng *Engine) (Result, error) {
+	const k = 16
+	g := workload.ClimateMesh(32, 32, 4, 1)
+	inst, err := eng.NewInstance(g, Options{K: k})
+	if err != nil {
+		return Result{}, err
+	}
+	if _, err := inst.Partition(ctx); err != nil {
+		return Result{}, err
+	}
+	n := int32(g.N())
+	return inst.Repartition(ctx, Delta{
+		RemoveVertices: []int32{3, 70, 517},
+		AddVertices:    []float64{1.5, 2.5},
+		AddEdges:       []EdgeChange{{U: n, V: 0, Cost: 1}, {U: n + 1, V: n, Cost: 2}, {U: n + 1, V: 600, Cost: 0.5}},
+	})
 }
 
 // repartitionDrifted partitions the undrifted 32² mesh and resumes from

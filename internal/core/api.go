@@ -43,7 +43,8 @@ type Options struct {
 	Parallelism int
 
 	// Measures are additional vertex measures to balance alongside the
-	// vertex weights (the multi-balanced extension noted in Section 7).
+	// vertex weights (the multi-balanced extension noted in Section 7),
+	// each of length N.
 	Measures [][]float64
 
 	// Multilevel, when non-nil, selects the multilevel decomposition path:
@@ -133,10 +134,8 @@ type Result struct {
 // stretch between checkpoints is one splitting-oracle call on the current
 // subproblem.
 //
-// Decompose is an assembly over the stage pipeline: DecomposePipeline
-// selects the direct or multilevel stage sequence from opt and Pipeline.Run
-// drives it. Callers composing their own sequences use those pieces
-// directly.
+// Decompose is the run driver with the decompose body: the multilevel
+// path when opt.Multilevel is set, the direct four stages otherwise.
 func Decompose(ctx context.Context, g *graph.Graph, opt Options) (Result, error) {
 	if opt.Multilevel != nil && len(opt.Measures) > 0 {
 		// The coarse levels balance weight and π only; silently dropping a
@@ -144,7 +143,12 @@ func Decompose(ctx context.Context, g *graph.Graph, opt Options) (Result, error)
 		// property the caller asked for.
 		return Result{}, fmt.Errorf("core: Multilevel does not support Measures (coarse levels balance weight only); use the direct path")
 	}
-	return DecomposePipeline(opt).Run(ctx, g, opt, nil)
+	for i, m := range opt.Measures {
+		if len(m) != g.N() {
+			return Result{}, fmt.Errorf("core: Measures[%d] has length %d, want N = %d", i, len(m), g.N())
+		}
+	}
+	return run(ctx, g, opt, nil, true, decompose)
 }
 
 // Refine resumes the pipeline on an existing complete coloring of g — the
@@ -169,27 +173,15 @@ func Decompose(ctx context.Context, g *graph.Graph, opt Options) (Result, error)
 // ctx.Err() and the caller's prior coloring is never adopted or mutated
 // (Refine works on a private copy from the start).
 //
-// Refine is an assembly over the stage pipeline: RefinePipeline guards the
-// rebalancing stages behind the strictness check and Pipeline.Run drives
-// the sequence. Options.Multilevel is ignored here — the prior coloring
-// already plays the role the multilevel path's projection would.
+// Refine is the run driver with the refine body, which guards the
+// rebalancing stages behind one strictness check. Options.Multilevel is
+// ignored here — the prior coloring already plays the role the multilevel
+// path's projection would.
 func Refine(ctx context.Context, g *graph.Graph, opt Options, prior []int32) (Result, error) {
-	if opt.K < 1 {
-		return Result{}, fmt.Errorf("core: K must be ≥ 1, got %d", opt.K)
-	}
-	if len(opt.Measures) > 0 {
-		// The resumed stages rebalance vertex weight only; silently
-		// dropping a multi-balance request would return a coloring without
-		// the property the caller asked for.
-		return Result{}, fmt.Errorf("core: Refine does not support Measures (the resumed stages balance weight only); run Decompose")
-	}
-	if len(prior) != g.N() {
-		return Result{}, fmt.Errorf("core: coloring length %d != N %d", len(prior), g.N())
-	}
-	if err := graph.CheckColoring(prior, opt.K); err != nil {
+	if err := checkPrior("Refine", g, opt, prior); err != nil {
 		return Result{}, err
 	}
-	return RefinePipeline(opt).Run(ctx, g, opt, prior)
+	return run(ctx, g, opt, prior, true, refine(nil, false))
 }
 
 // RefineLocal is the dirty-region variant of Refine, the entry point
@@ -203,16 +195,7 @@ func Refine(ctx context.Context, g *graph.Graph, opt Options, prior []int32) (Re
 // identical Definition 1 guarantee as Refine, at a cost that tracks
 // |dirty| instead of M once the prior is strictly balanced.
 func RefineLocal(ctx context.Context, g *graph.Graph, opt Options, prior []int32, dirty []int32) (Result, error) {
-	if opt.K < 1 {
-		return Result{}, fmt.Errorf("core: K must be ≥ 1, got %d", opt.K)
-	}
-	if len(opt.Measures) > 0 {
-		return Result{}, fmt.Errorf("core: RefineLocal does not support Measures (the resumed stages balance weight only); run Decompose")
-	}
-	if len(prior) != g.N() {
-		return Result{}, fmt.Errorf("core: coloring length %d != N %d", len(prior), g.N())
-	}
-	if err := graph.CheckColoring(prior, opt.K); err != nil {
+	if err := checkPrior("RefineLocal", g, opt, prior); err != nil {
 		return Result{}, err
 	}
 	for _, v := range dirty {
@@ -220,7 +203,25 @@ func RefineLocal(ctx context.Context, g *graph.Graph, opt Options, prior []int32
 			return Result{}, fmt.Errorf("core: dirty vertex %d out of range [0, %d)", v, g.N())
 		}
 	}
-	return RefineLocalPipeline(opt, dirty).Run(ctx, g, opt, prior)
+	return run(ctx, g, opt, prior, true, refine(dirty, true))
+}
+
+// checkPrior validates the options and prior coloring of a resume entry
+// point (Refine, RefineLocal).
+func checkPrior(entry string, g *graph.Graph, opt Options, prior []int32) error {
+	if opt.K < 1 {
+		return fmt.Errorf("core: K must be ≥ 1, got %d", opt.K)
+	}
+	if len(opt.Measures) > 0 {
+		// The resumed stages rebalance vertex weight only; silently
+		// dropping a multi-balance request would return a coloring without
+		// the property the caller asked for.
+		return fmt.Errorf("core: %s does not support Measures (the resumed stages balance weight only); run Decompose", entry)
+	}
+	if len(prior) != g.N() {
+		return fmt.Errorf("core: coloring length %d != N %d", len(prior), g.N())
+	}
+	return graph.CheckColoring(prior, opt.K)
 }
 
 // newCtx validates options and builds the shared pipeline context. A nil
@@ -283,84 +284,4 @@ func TheoremBound(g *graph.Graph, k int, p float64) float64 {
 		return 2 * g.MaxCost()
 	}
 	return g.CostNorm(p)/math.Pow(float64(k), 1/p) + g.MaxCost()
-}
-
-// MultiBalanced exposes the Lemma 6 stage: a k-coloring balanced with
-// respect to every measure in ms with small *average* boundary cost.
-func MultiBalanced(ctx context.Context, g *graph.Graph, opt Options, ms [][]float64) ([]int32, error) {
-	if opt.K < 1 {
-		return nil, fmt.Errorf("core: K must be ≥ 1, got %d", opt.K)
-	}
-	c, err := newCtx(ctx, g, opt)
-	if err != nil {
-		return nil, err
-	}
-	chi := c.multiBalanced(opt.K, ms)
-	if err := c.run.Err(); err != nil {
-		return nil, err
-	}
-	return chi, nil
-}
-
-// MinMaxBalanced exposes the Proposition 7 stage: a k-coloring balanced in
-// the given measures (plus π) with small *maximum* boundary cost.
-func MinMaxBalanced(ctx context.Context, g *graph.Graph, opt Options, ms [][]float64) ([]int32, error) {
-	if opt.K < 1 {
-		return nil, fmt.Errorf("core: K must be ≥ 1, got %d", opt.K)
-	}
-	c, err := newCtx(ctx, g, opt)
-	if err != nil {
-		return nil, err
-	}
-	chi2 := c.minMaxBalanced(opt.K, ms)
-	if err := c.run.Err(); err != nil {
-		return nil, err
-	}
-	return chi2, nil
-}
-
-// AlmostStrict exposes the Proposition 11 stage on an existing coloring.
-func AlmostStrict(ctx context.Context, g *graph.Graph, opt Options, chi []int32) ([]int32, error) {
-	if len(chi) != g.N() {
-		return nil, fmt.Errorf("core: coloring length %d != N %d", len(chi), g.N())
-	}
-	if err := graph.CheckColoring(chi, opt.K); err != nil {
-		return nil, err
-	}
-	c, err := newCtx(ctx, g, opt)
-	if err != nil {
-		return nil, err
-	}
-	out := c.almostStrict(chi, opt.K, opt.PaperShrink)
-	if err := c.run.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// StrictBalance exposes the Proposition 12 stage (BinPack2) on an existing
-// coloring; the result is strictly balanced per Definition 1 (with the
-// chunked-greedy backstop applied if needed).
-func StrictBalance(ctx context.Context, g *graph.Graph, opt Options, chi []int32) ([]int32, error) {
-	if len(chi) != g.N() {
-		return nil, fmt.Errorf("core: coloring length %d != N %d", len(chi), g.N())
-	}
-	if err := graph.CheckColoring(chi, opt.K); err != nil {
-		return nil, err
-	}
-	c, err := newCtx(ctx, g, opt)
-	if err != nil {
-		return nil, err
-	}
-	out := c.binPack2(chi, opt.K)
-	if !graph.IsStrictlyBalanced(g, out, opt.K) {
-		out = c.chunkedGreedy(out, opt.K)
-	}
-	// Like Decompose/Refine, a cancellation wins over the (possibly
-	// half-chunked) coloring — without this, chunkedGreedy's cancel path
-	// could leak -1 entries behind a nil error.
-	if err := c.run.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

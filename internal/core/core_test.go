@@ -587,39 +587,38 @@ func TestDecomposeKBiggerThanN(t *testing.T) {
 	}
 }
 
-func TestStageWrappers(t *testing.T) {
+// TestPropositionStages runs each proposition's stage on its own ctx and
+// checks the property the proposition promises: Lemma 6 and Proposition
+// 7 color every vertex, Proposition 11 reaches the almost strict window
+// and Proposition 12 (BinPack2) the strict one.
+func TestPropositionStages(t *testing.T) {
 	gr, g := gridGraph(t, 10, 10)
 	opt := Options{K: 4, Splitter: splitter.NewGrid(gr)}
-	chi, err := MultiBalanced(context.Background(), g, opt, [][]float64{g.Weight})
+	c, err := newCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	chi := c.multiBalanced(4, [][]float64{g.Weight})
 	if err := graph.CheckColoring(chi, 4); err != nil {
 		t.Fatal(err)
 	}
-	chi2, err := MinMaxBalanced(context.Background(), g, opt, [][]float64{g.Weight})
-	if err != nil {
+	chi2 := c.minMaxBalanced(4, [][]float64{g.Weight})
+	if err := graph.CheckColoring(chi2, 4); err != nil {
 		t.Fatal(err)
 	}
-	chi3, err := AlmostStrict(context.Background(), g, opt, chi2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chi3 := c.almostStrict(chi2, 4, opt.PaperShrink)
 	if !graph.IsAlmostStrictlyBalanced(g, chi3, 4) {
-		t.Fatal("AlmostStrict wrapper failed")
+		t.Fatal("Proposition 11 missed the almost strict window")
 	}
-	chi4, err := StrictBalance(context.Background(), g, opt, chi3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chi4 := c.binPack2(chi3, 4)
 	if !graph.IsStrictlyBalanced(g, chi4, 4) {
-		t.Fatal("StrictBalance wrapper failed")
+		t.Fatal("Proposition 12 missed the strict window")
 	}
-	// Error paths.
-	if _, err := MultiBalanced(context.Background(), g, Options{K: 0}, nil); err == nil {
+	// Error paths belong to the entry points.
+	if _, err := Decompose(context.Background(), g, Options{K: 0}); err == nil {
 		t.Fatal("expected K error")
 	}
-	if _, err := AlmostStrict(context.Background(), g, Options{K: 4}, make([]int32, g.N()+5)); err == nil {
+	if _, err := Refine(context.Background(), g, Options{K: 4}, make([]int32, g.N()+5)); err == nil {
 		t.Fatal("expected coloring length error")
 	}
 }

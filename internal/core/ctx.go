@@ -16,7 +16,7 @@ import (
 // parallel stages draw from and the run's cancellation context.
 //
 // Concurrency contract: every field is written only before the first pool
-// worker is spawned (newCtx, plus Decompose's countingSplitter wrap of sp)
+// worker is spawned (newCtx, plus run's countingSplitter wrap of sp)
 // and read-only afterwards (sem carries tokens, never data; pi is written
 // once under piOnce, checked only between stages), so ctx methods
 // may run from multiple pool workers at once as long as each worker only
@@ -26,7 +26,7 @@ import (
 // Cancellation contract: stages poll interrupted() at their checkpoints
 // (every oracle call, every pool-work item, every rebalance move, every
 // polish round) and unwind with whatever partial coloring they hold; the
-// entry points (Decompose, Refine) then discard the partial coloring and
+// run driver then discards the partial coloring and
 // return run.Err(). A cancelled run therefore never yields a Result, and
 // the pool drains itself — workers stop pulling indices, so no goroutine
 // outlives the entry point's return.
@@ -39,10 +39,6 @@ type ctx struct {
 	piOnce sync.Once
 	pi     []float64 // splitting-cost measure π of Definition 10 (σ_p = 1); see splittingCost
 
-	// checked is UnlessStrict's strict verdict on the working coloring,
-	// cleared by the driver after every stage that runs.
-	checked *graph.Balance
-
 	par int           // resolved Options.Parallelism (≥ 1)
 	sem chan struct{} // spare-worker tokens; nil when par == 1
 
@@ -50,8 +46,8 @@ type ctx struct {
 	done <-chan struct{} // run.Done(), cached; nil for un-cancellable runs
 	obs  Observer        // progress hooks; nil when unobserved
 
-	// diag collects the run's Diagnostics; set by Pipeline.Run (nil for
-	// the standalone stage entry points, which report no diagnostics).
+	// diag collects the run's Diagnostics; set by run (nil on a ctx that
+	// tests build to call a stage's algorithm directly).
 	diag *Diagnostics
 }
 
@@ -62,21 +58,6 @@ type ctx struct {
 func (c *ctx) splittingCost() []float64 {
 	c.piOnce.Do(func() { c.pi = measure.SplittingCostPar(c.g, c.p, 1, c.par) })
 	return c.pi
-}
-
-// polishable reports whether a polish stage runs on chi — SkipPolish is
-// off and chi is strictly balanced — and returns the check polish starts
-// from: UnlessStrict's when no stage ran since, else a fresh one.
-func (c *ctx) polishable(chi []int32) (graph.Balance, bool) {
-	if c.opt.SkipPolish {
-		return graph.Balance{}, false
-	}
-	b := c.checked
-	if b == nil {
-		fresh := graph.CheckBalance(c.g, chi, c.opt.K)
-		b = &fresh
-	}
-	return *b, b.StrictlyBalanced
 }
 
 // interrupted reports whether the run's context has been cancelled. It is

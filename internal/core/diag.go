@@ -38,7 +38,7 @@ type Diagnostics struct {
 	LevelProfile []LevelDiag
 
 	// Durations of the pipeline stages. On the multilevel path the classic
-	// four aggregate across every hierarchy level's inner pipeline, and
+	// four aggregate across every hierarchy level's inner run, and
 	// Coarsen is the hierarchy construction itself.
 	MultiBalance time.Duration // Proposition 7 (or Lemma 6 under ablation)
 	AlmostStrict time.Duration // Proposition 11
@@ -77,7 +77,7 @@ func (d Diagnostics) String() string {
 
 // record accumulates one instrumented stage's wall time into its duration
 // field. Accumulation (not assignment) is what makes the multilevel path's
-// per-level inner pipelines aggregate naturally.
+// per-level inner runs aggregate naturally.
 func (d *Diagnostics) record(name StageName, took time.Duration) {
 	switch name {
 	case StageMultiBalance:
@@ -93,7 +93,7 @@ func (d *Diagnostics) record(name StageName, took time.Duration) {
 	}
 }
 
-// absorb folds an inner pipeline run's diagnostics into d — the multilevel
+// absorb folds an inner run's diagnostics into d — the multilevel
 // driver's accounting for the per-level Decompose/Refine runs. Parallelism,
 // Levels and Total stay the outer run's own.
 func (d *Diagnostics) absorb(inner Diagnostics) {

@@ -53,16 +53,17 @@ func TestDiagnosticsOracleComplexity(t *testing.T) {
 }
 
 // TestDiagnosticsTotalCoversPostlude pins that Diagnostics.Total is the
-// run's wall time including the postlude: a stageless pipeline on a
-// broken prior spends nearly all of its time in the strictness check and
-// the chunked-greedy backstop, so Total must account for most of the
-// wall time measured around the call.
+// run's wall time including the postlude: a run whose body leaves a
+// broken prior as it is spends nearly all of its time in the strictness
+// check and the chunked-greedy backstop, so Total must account for most
+// of the wall time measured around the call.
 func TestDiagnosticsTotalCoversPostlude(t *testing.T) {
 	gr, g := gridGraph(t, 48, 48)
 	opt := Options{K: 8, Parallelism: 1, Splitter: splitter.NewGrid(gr)}
 	prior := make([]int32, g.N()) // one class: far from strict
 	start := time.Now()
-	res, err := NewPipeline().Run(context.Background(), g, opt, prior)
+	keep := func(_ *ctx, chi []int32) ([]int32, error) { return chi, nil }
+	res, err := run(context.Background(), g, opt, prior, true, keep)
 	wall := time.Since(start)
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,10 @@
 package core
 
 // This file is the multilevel (coarsen → solve → project → refine)
-// decomposition path: a single pipeline stage that builds a heavy-edge
-// coarsening hierarchy, solves the coarsest level with the direct stage
-// sequence, and projects the coloring down the hierarchy, resuming the
-// refine pipeline at every level.
+// decomposition path: a driver that builds a heavy-edge coarsening
+// hierarchy, solves the coarsest level with run(…, decompose), and
+// projects the coloring down the hierarchy, resuming with run(…, refine)
+// at every level.
 //
 // Invariants (DESIGN.md §9): the final coloring carries the identical
 // Definition 1 strict-balance guarantee as the direct path — projection
@@ -18,8 +18,6 @@ package core
 // no partial Result.
 
 import (
-	"fmt"
-
 	"repro/internal/coarsen"
 	"repro/internal/graph"
 	"repro/internal/splitter"
@@ -81,20 +79,9 @@ func defaultSplitterFactory(par int) func(g *graph.Graph) splitter.Splitter {
 	}
 }
 
-// multilevelStage is the driver; see the file comment.
-type multilevelStage struct{}
-
-// MultilevelStage returns the multilevel driver stage. It must be the
-// producing head of its pipeline (DecomposePipeline assembles it when
-// Options.Multilevel is set) and requires Options.Multilevel non-nil.
-func MultilevelStage() Stage { return multilevelStage{} }
-
-func (multilevelStage) Name() StageName { return StageMultilevel }
-
-func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
-	if c.opt.Multilevel == nil {
-		return nil, fmt.Errorf("core: MultilevelStage requires Options.Multilevel")
-	}
+// multilevel is the driver behind decompose's multilevel branch; see the
+// file comment. It runs inside decompose's StageMultilevel window.
+func (c *ctx) multilevel() ([]int32, error) {
 	ml := c.opt.Multilevel.resolve(c.opt.K)
 	factory := c.opt.SplitterFactory
 	if factory == nil {
@@ -102,9 +89,9 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 	}
 
 	// Hierarchy construction gets its own instrumented window inside the
-	// driver's StageMultilevel bracket; the per-level solves below run as
-	// inner pipelines with their own stage events and diagnostics,
-	// absorbed into this run's.
+	// driver's StageMultilevel bracket; the per-level solves below are
+	// inner runs with their own stage events and diagnostics, absorbed
+	// into this run's.
 	var hier *coarsen.Hierarchy
 	var err error
 	c.stageWindow(StageCoarsen, func() {
@@ -122,9 +109,7 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.diag != nil {
-		c.diag.Levels = len(hier.Levels)
-	}
+	c.diag.Levels = len(hier.Levels)
 	fineAt := func(i int) *graph.Graph {
 		if i == 0 {
 			return hier.Fine
@@ -147,24 +132,26 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 	}
 	// The inner runs skip the full ColoringStats postlude: only their
 	// colorings and diagnostics are kept, and Verify audits the final one.
-	res, err := DecomposePipeline(copt).run(c.run, cg, copt, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	if c.diag != nil {
+	// absorb folds level i's inner run on lg into this run's diagnostics.
+	absorb := func(i int, lg *graph.Graph, res Result) {
 		c.diag.absorb(res.Diag)
 		c.diag.LevelProfile = append(c.diag.LevelProfile, LevelDiag{
-			Level: len(hier.Levels), Vertices: cg.N(), Edges: cg.M(),
+			Level: i, Vertices: lg.N(), Edges: lg.M(),
 			SplitterCalls: res.Diag.SplitterCalls, Duration: res.Diag.Total,
 		})
 	}
+	res, err := run(c.run, cg, copt, nil, false, decompose)
+	if err != nil {
+		return nil, err
+	}
+	absorb(len(hier.Levels), cg, res)
 	chi := res.Coloring
 
-	// Cancellation unwinds through the inner pipeline itself: it threads
-	// c.run and surfaces ctx.Err() as its error, which the check below
-	// turns into an immediate return, so each level is one
+	// Cancellation unwinds through the inner run itself: it threads c.run
+	// and surfaces ctx.Err() as its error, which the check below turns
+	// into an immediate return, so each level is one
 	// checkpoint-granularity unit.
-	//repro:checkpoint-ok the inner pipeline polls c.run internally and its error return exits the loop — DESIGN.md §8
+	//repro:checkpoint-ok the inner run polls c.run internally and its error return exits the loop — DESIGN.md §8
 	for i := len(hier.Levels) - 1; i >= 0; i-- {
 		chi = hier.Levels[i].Project(chi)
 		fg := fineAt(i)
@@ -172,17 +159,11 @@ func (multilevelStage) Run(c *ctx, _ []int32) ([]int32, error) {
 		if fg != c.g {
 			lopt.Splitter = factory(fg)
 		}
-		res, err = RefinePipeline(lopt).run(c.run, fg, lopt, chi, false)
+		res, err = run(c.run, fg, lopt, chi, false, refine(nil, false))
 		if err != nil {
 			return nil, err
 		}
-		if c.diag != nil {
-			c.diag.absorb(res.Diag)
-			c.diag.LevelProfile = append(c.diag.LevelProfile, LevelDiag{
-				Level: i, Vertices: fg.N(), Edges: fg.M(),
-				SplitterCalls: res.Diag.SplitterCalls, Duration: res.Diag.Total,
-			})
-		}
+		absorb(i, fg, res)
 		chi = res.Coloring
 	}
 	return chi, nil

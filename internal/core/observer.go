@@ -7,7 +7,7 @@ import "time"
 // Decompose visits the four classic stages in declaration order, a Refine
 // resumes at StageAlmostStrict (or straight at StagePolish when the prior
 // coloring is still strict), and a multilevel Decompose opens with
-// StageCoarsen before the per-level inner pipelines replay the classic
+// StageCoarsen before the per-level inner runs replay the classic
 // stages on each graph of the hierarchy.
 type StageName string
 
@@ -26,7 +26,7 @@ const (
 	// (heavy-edge matching contraction, internal/coarsen).
 	StageCoarsen StageName = "coarsen"
 	// StageMultilevel brackets the whole multilevel driver: StageCoarsen
-	// and the per-level inner pipelines' stage events nest inside its
+	// and the per-level inner runs' stage events nest inside its
 	// enter/leave pair.
 	StageMultilevel StageName = "multilevel"
 )

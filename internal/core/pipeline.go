@@ -1,20 +1,12 @@
 package core
 
-// This file is the composable shape of the decomposition pipeline. The
-// paper's algorithm is a fixed sequence of phases (Proposition 7 → 11 → 12
-// plus the engineering polish pass); production callers need to compose
-// those phases differently — resume from a prior coloring, or wrap the
-// whole sequence in a multilevel coarsen → solve → project → refine scheme
-// — without re-wiring the invariants every time. Stage is one phase,
-// Pipeline drives a sequence of them with uniform instrumentation
-// (Observer enter/leave events, Diagnostics durations, cancellation
-// checkpoints between stages) and the shared postlude every entry point
-// must run: stats, the chunked-greedy strictness backstop, the
-// cancellation-wins rule, and the structural coloring check.
-//
-// Decompose and Refine are now thin assemblies over this driver
-// (DecomposePipeline, RefinePipeline); engine options choose between them
-// and select the multilevel path by setting Options.Multilevel.
+// This file is the run driver and the stage sequences it drives. The
+// paper's algorithm is a fixed sequence — Proposition 7 → 11 → 12 — and
+// the repo adds a polish pass after it and a multilevel wrapper around
+// it, so the sequences are plain calls in three bodies: decompose,
+// refine, and the multilevel driver (ctx.multilevel, multilevel.go),
+// which runs decompose on the coarsest graph and refine at every level.
+// run is the one place that builds a ctx for them and owns the postlude.
 
 import (
 	"context"
@@ -24,101 +16,23 @@ import (
 	"repro/internal/graph"
 )
 
-// Stage is one composable phase of the decomposition pipeline. A Stage
-// transforms the working coloring under the shared pipeline context; the
-// driver brackets every Run with Observer StageEnter/StageLeave events and
-// records the wall time into the run's Diagnostics, so implementations
-// contain algorithm only, no instrumentation.
-//
-// Contract: Run receives the working coloring (nil at the head of a
-// producing pipeline, a complete coloring mid-pipeline) and returns its
-// replacement. A stage must treat the received slice as its own (the
-// driver never aliases it to caller state) and must poll the context's
-// cancellation checkpoints (ctx.interrupted via the shared helpers) in any
-// long loop; returning early with a partial coloring is fine — the driver
-// discards the coloring of a cancelled run. A non-nil error aborts the
-// pipeline immediately.
-type Stage interface {
-	// Name identifies the stage in Observer callbacks and Diagnostics.
-	Name() StageName
-	// Run executes the stage's transformation.
-	Run(c *ctx, chi []int32) ([]int32, error)
-}
-
-// groupStage is a Stage that expands into a dynamically chosen
-// sub-sequence instead of running an instrumented body of its own: the
-// driver emits no events for the group itself, only for the stages it
-// expands to. This is how RefinePipeline skips the rebalancing stages
-// when the prior coloring is still strict — matching the documented
-// "strict priors skip to polish with zero oracle calls" behavior, where
-// no almoststrict/strictpack events fire at all.
-type groupStage interface {
-	Stage
-	expand(c *ctx, chi []int32) []Stage
-}
-
-// Pipeline drives a stage sequence over one graph. Build one with
-// NewPipeline (or the DecomposePipeline / RefinePipeline assemblies) and
-// reuse it freely: a Pipeline is immutable and safe for concurrent Runs.
-type Pipeline struct {
-	stages []Stage
-}
-
-// NewPipeline builds a pipeline from the given stages, run in order.
-func NewPipeline(stages ...Stage) *Pipeline {
-	return &Pipeline{stages: append([]Stage(nil), stages...)}
-}
-
-// DecomposePipeline assembles the stage sequence a Decompose run executes
-// under opt: the direct four-stage path (Proposition 7 → 11 → 12 →
-// polish), or the multilevel path (coarsen → solve coarsest → project →
-// refine per level) when opt.Multilevel is set. Per-stage ablations
-// (SkipShrink, SkipPolish, …) are honored inside the stages, so the
-// assembly is the same for every option combination of a path.
-func DecomposePipeline(opt Options) *Pipeline {
-	if opt.Multilevel != nil {
-		return NewPipeline(MultilevelStage())
-	}
-	return NewPipeline(MultiBalanceStage(), AlmostStrictStage(), StrictPackStage(), PolishStage())
-}
-
-// RefinePipeline assembles the resume path: the rebalancing stages
-// (Proposition 11 → 12) run only when the prior coloring is no longer
-// strictly balanced under the current weights, then polish. A strict
-// prior therefore skips to polish with zero oracle calls.
-func RefinePipeline(opt Options) *Pipeline {
-	return NewPipeline(UnlessStrict(AlmostStrictStage(), StrictPackStage()), PolishStage())
-}
-
-// RefineLocalPipeline assembles the dirty-region resume path behind
-// RefineLocal: the same strictness-guarded rebalancing stages, but polish
-// sweeps only the dirty region's closed neighborhood.
-func RefineLocalPipeline(opt Options, dirty []int32) *Pipeline {
-	return NewPipeline(UnlessStrict(AlmostStrictStage(), StrictPackStage()), LocalPolishStage(dirty))
-}
-
-// Run executes the pipeline on g under opt. prior seeds the working
-// coloring (copied, never mutated); nil starts the pipeline empty, which
-// only producing assemblies (DecomposePipeline) accept. The driver owns
-// the run-wide concerns: option validation, the oracle call counter, the
-// Observer bracketing and Diagnostics of every stage, a cancellation
-// checkpoint after each stage, the chunked-greedy strictness backstop,
-// and the rule that a cancellation always wins over a computed coloring.
-func (p *Pipeline) Run(run context.Context, g *graph.Graph, opt Options, prior []int32) (Result, error) {
-	return p.run(run, g, opt, prior, true)
-}
-
-// run is Run with Result.Stats optional: the multilevel driver's
-// per-level runs pass stats false, skipping the pass over every edge that
-// statistics nobody reads would cost.
-func (p *Pipeline) run(run context.Context, g *graph.Graph, opt Options, prior []int32, stats bool) (Result, error) {
+// run executes body on g under opt. prior seeds the working coloring
+// (copied, never mutated); nil hands body a nil coloring, which only
+// decompose accepts. Around body, run owns the run-wide concerns: option
+// validation, the oracle call counter, the chunked-greedy strictness
+// backstop, the rule that a cancellation always wins over a computed
+// coloring, and the structural coloring check. stats false skips
+// Result.Stats: the multilevel driver's per-level runs discard it, and
+// it costs a pass over every edge.
+func run(runCtx context.Context, g *graph.Graph, opt Options, prior []int32, stats bool,
+	body func(c *ctx, chi []int32) ([]int32, error)) (Result, error) {
 	if opt.K < 1 {
 		return Result{}, fmt.Errorf("core: K must be ≥ 1, got %d", opt.K)
 	}
 	if g.N() == 0 {
 		return Result{Coloring: []int32{}, Stats: graph.ColoringStats{K: opt.K}}, nil
 	}
-	c, err := newCtx(run, g, opt)
+	c, err := newCtx(runCtx, g, opt)
 	if err != nil {
 		return Result{}, err
 	}
@@ -133,11 +47,17 @@ func (p *Pipeline) run(run context.Context, g *graph.Graph, opt Options, prior [
 
 	var chi []int32
 	if prior != nil {
-		// A private copy from the start: stages own the working coloring,
-		// and the caller's prior must never be mutated.
+		// A private copy from the start: the stages own the working
+		// coloring, and the caller's prior must never be mutated.
 		chi = append([]int32(nil), prior...)
 	}
-	if chi, err = c.runStages(p.stages, chi); err != nil {
+	chi, err = body(c, chi)
+	if err == nil {
+		// The checkpoint after the last stage: a cancelled body may hold
+		// a partial coloring the backstop must not see.
+		err = c.run.Err()
+	}
+	if err != nil {
 		return Result{}, err
 	}
 
@@ -166,35 +86,106 @@ func (p *Pipeline) run(run context.Context, g *graph.Graph, opt Options, prior [
 	return res, nil
 }
 
-// runStages executes a stage sequence with per-stage instrumentation and
-// cancellation checkpoints, expanding groups in place.
-func (c *ctx) runStages(stages []Stage, chi []int32) ([]int32, error) {
+// decompose is the producing body behind Decompose: the multilevel
+// driver when Options.Multilevel is set, otherwise Proposition 7 (or
+// Lemma 6 under the SkipBoundaryBalance ablation) → 11 → 12 → polish.
+func decompose(c *ctx, _ []int32) ([]int32, error) {
+	var chi []int32
 	var err error
-	for _, st := range stages {
-		if grp, ok := st.(groupStage); ok {
-			if chi, err = c.runStages(grp.expand(c, chi), chi); err != nil {
+	if c.opt.Multilevel != nil {
+		c.stageWindow(StageMultilevel, func() { chi, err = c.multilevel() })
+		return chi, err
+	}
+	err = c.step(StageMultiBalance, func() {
+		user := append([][]float64{c.g.Weight}, c.opt.Measures...)
+		if c.opt.SkipBoundaryBalance {
+			chi = c.multiBalanced(c.opt.K, append([][]float64{c.splittingCost()}, user...))
+		} else {
+			chi = c.minMaxBalanced(c.opt.K, user)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if chi, err = c.strictBalance(chi); err != nil {
+		return nil, err
+	}
+	c.stageWindow(StagePolish, func() { chi = c.polishStage(chi, nil, nil, false) })
+	return chi, nil
+}
+
+// refine returns the resume body behind Refine (local false) and
+// RefineLocal (local true: polish sweeps only the closed neighborhood of
+// dirty, vertex ids of the run's graph). One strictness check decides
+// the path. A prior that is no longer strict runs Propositions 11 and 12
+// — both, even if the first already restores strictness, since
+// Proposition 12 certifies the window — and polish takes a fresh check.
+// A strict prior goes straight to polish, which starts from the kept
+// check: no oracle call and no π.
+func refine(dirty []int32, local bool) func(c *ctx, chi []int32) ([]int32, error) {
+	return func(c *ctx, chi []int32) ([]int32, error) {
+		b := graph.CheckBalance(c.g, chi, c.opt.K)
+		kept := &b
+		if !b.StrictlyBalanced {
+			var err error
+			if chi, err = c.strictBalance(chi); err != nil {
 				return nil, err
 			}
-			continue
+			kept = nil
 		}
-		if chi, err = c.runStage(st, chi); err != nil {
-			return nil, err
+		c.stageWindow(StagePolish, func() { chi = c.polishStage(chi, kept, dirty, local) })
+		return chi, nil
+	}
+}
+
+// strictBalance runs Proposition 11 (shrink, or direct rebalancing) and
+// then Proposition 12 (BinPack2) on a complete coloring. The SkipShrink
+// ablation leaves Proposition 11's stage events firing around a
+// pass-through.
+func (c *ctx) strictBalance(chi []int32) ([]int32, error) {
+	err := c.step(StageAlmostStrict, func() {
+		if !c.opt.SkipShrink {
+			chi = c.almostStrict(chi, c.opt.K, c.opt.PaperShrink)
 		}
-		c.checked = nil // the stage may have changed the coloring
-		if err := c.run.Err(); err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := c.step(StageStrictPack, func() { chi = c.binPack2(chi, c.opt.K) }); err != nil {
+		return nil, err
 	}
 	return chi, nil
 }
 
-// runStage brackets one stage body with the Observer events and the
-// Diagnostics duration accounting.
-func (c *ctx) runStage(st Stage, chi []int32) ([]int32, error) {
-	var out []int32
-	var err error
-	c.stageWindow(st.Name(), func() { out, err = st.Run(c, chi) })
-	return out, err
+// polishStage is the polish stage body. Polish runs only when SkipPolish
+// is off and chi is strictly balanced: its moves are feasibility-checked
+// against the Definition 1 window, which is meaningless otherwise. b is
+// chi's strictness check when the caller holds one (nil takes a fresh
+// one); local restricts the candidate sweep to dirty's closed
+// neighborhood while balance feasibility stays global.
+func (c *ctx) polishStage(chi []int32, b *graph.Balance, dirty []int32, local bool) []int32 {
+	if c.opt.SkipPolish {
+		return chi
+	}
+	if b == nil {
+		fresh := graph.CheckBalance(c.g, chi, c.opt.K)
+		b = &fresh
+	}
+	switch {
+	case !b.StrictlyBalanced:
+		return chi
+	case local:
+		return c.polishLocal(chi, *b, 3, dirty)
+	default:
+		return c.polish(chi, *b, 3)
+	}
+}
+
+// step runs one stage that has another after it: body inside the
+// stage's window, then the cancellation checkpoint between stages.
+func (c *ctx) step(name StageName, body func()) error {
+	c.stageWindow(name, body)
+	return c.run.Err()
 }
 
 // stageWindow runs body inside a StageEnter/StageLeave bracket, recording
@@ -211,138 +202,8 @@ func (c *ctx) stageWindow(name StageName, body func()) {
 	c.stageEnter(name)
 	defer func() {
 		took := time.Since(mark) //repro:nondeterministic-ok stage timing feeds Diagnostics only, never the coloring — DESIGN.md §13
-		if c.diag != nil {
-			c.diag.record(name, took)
-		}
+		c.diag.record(name, took)
 		c.stageLeave(name, took)
 	}()
 	body()
-}
-
-// ---- the classic stages ----
-
-// multiBalanceStage is Proposition 7 (or Lemma 6 under the
-// SkipBoundaryBalance ablation): the divide-and-conquer producing the
-// weakly balanced coloring from scratch. It ignores any incoming coloring.
-type multiBalanceStage struct{}
-
-// MultiBalanceStage returns the Proposition 7 producing stage.
-func MultiBalanceStage() Stage { return multiBalanceStage{} }
-
-func (multiBalanceStage) Name() StageName { return StageMultiBalance }
-
-func (multiBalanceStage) Run(c *ctx, _ []int32) ([]int32, error) {
-	user := append([][]float64{c.g.Weight}, c.opt.Measures...)
-	if c.opt.SkipBoundaryBalance {
-		ms := append([][]float64{c.splittingCost()}, user...)
-		return c.multiBalanced(c.opt.K, ms), nil
-	}
-	return c.minMaxBalanced(c.opt.K, user), nil
-}
-
-// almostStrictStage is Proposition 11: shrink (or direct rebalancing) to
-// an almost strictly balanced coloring. The SkipShrink ablation turns the
-// body into a pass-through (the stage events still fire, matching the
-// historical behavior the diagnostics fields document).
-type almostStrictStage struct{}
-
-// AlmostStrictStage returns the Proposition 11 stage.
-func AlmostStrictStage() Stage { return almostStrictStage{} }
-
-func (almostStrictStage) Name() StageName { return StageAlmostStrict }
-
-func (almostStrictStage) Run(c *ctx, chi []int32) ([]int32, error) {
-	if c.opt.SkipShrink {
-		return chi, nil
-	}
-	return c.almostStrict(chi, c.opt.K, c.opt.PaperShrink), nil
-}
-
-// strictPackStage is Proposition 12 (BinPack2): almost strict → strict.
-type strictPackStage struct{}
-
-// StrictPackStage returns the Proposition 12 stage.
-func StrictPackStage() Stage { return strictPackStage{} }
-
-func (strictPackStage) Name() StageName { return StageStrictPack }
-
-func (strictPackStage) Run(c *ctx, chi []int32) ([]int32, error) {
-	return c.binPack2(chi, c.opt.K), nil
-}
-
-// polishStage is the strictness-preserving boundary polish pass. It runs
-// only on a strictly balanced coloring (polish moves are feasibility-
-// checked against the Definition 1 window, which is meaningless otherwise)
-// and honors the SkipPolish ablation (ctx.polishable).
-type polishStage struct{}
-
-// PolishStage returns the boundary polish stage.
-func PolishStage() Stage { return polishStage{} }
-
-func (polishStage) Name() StageName { return StagePolish }
-
-func (polishStage) Run(c *ctx, chi []int32) ([]int32, error) {
-	if b, ok := c.polishable(chi); ok {
-		return c.polish(chi, b, 3), nil
-	}
-	return chi, nil
-}
-
-// localPolishStage is the localized variant of the polish pass: the
-// candidate sweep is restricted to the closed neighborhood of the dirty
-// vertex set while balance feasibility stays global. It is the polish
-// half of the dirty-region Refine contract (RefineLocal): a topology
-// mutation touches a bounded region, so only that region's border can
-// have gained boundary cost worth polishing away. It reports as
-// StagePolish, so observers and diagnostics see the usual pipeline shape.
-type localPolishStage struct {
-	dirty []int32
-}
-
-// LocalPolishStage returns a polish stage restricted to the closed
-// neighborhood of dirty (vertex ids of the stage's graph).
-func LocalPolishStage(dirty []int32) Stage {
-	return localPolishStage{dirty: append([]int32(nil), dirty...)}
-}
-
-func (localPolishStage) Name() StageName { return StagePolish }
-
-func (s localPolishStage) Run(c *ctx, chi []int32) ([]int32, error) {
-	if b, ok := c.polishable(chi); ok {
-		return c.polishLocal(chi, b, 3, s.dirty), nil
-	}
-	return chi, nil
-}
-
-// unlessStrict is the RefinePipeline group: its inner stages run only
-// when the working coloring is not strictly balanced. The strictness
-// predicate is evaluated once, at expansion — when the prior is broken,
-// every inner stage runs, even if an early one already restores
-// strictness (Proposition 12 must still certify the window). A strict
-// verdict's check stays on the ctx for the polish stage that follows.
-type unlessStrict struct {
-	inner []Stage
-}
-
-// UnlessStrict wraps stages so they run only when the working coloring is
-// not strictly balanced at the time the group is reached.
-func UnlessStrict(stages ...Stage) Stage {
-	return unlessStrict{inner: append([]Stage(nil), stages...)}
-}
-
-func (unlessStrict) Name() StageName { return "unless-strict" }
-
-// Run is never called: the driver expands groups instead.
-func (u unlessStrict) Run(_ *ctx, chi []int32) ([]int32, error) {
-	return chi, fmt.Errorf("core: group stage %q cannot run directly", u.Name())
-}
-
-func (u unlessStrict) expand(c *ctx, chi []int32) []Stage {
-	if chi != nil {
-		if b := graph.CheckBalance(c.g, chi, c.opt.K); b.StrictlyBalanced {
-			c.checked = &b
-			return nil
-		}
-	}
-	return u.inner
 }

@@ -9,55 +9,8 @@ import (
 	"repro/internal/workload"
 )
 
-// TestPipelineAssemblyMatchesEntryPoints pins the refactoring contract:
-// Decompose and Refine are nothing but DecomposePipeline / RefinePipeline
-// driven by Pipeline.Run, so a hand-assembled identical pipeline produces
-// the byte-identical coloring and the same oracle-call count.
-func TestPipelineAssemblyMatchesEntryPoints(t *testing.T) {
-	g := workload.ClimateMesh(24, 24, 3, 7)
-	opt := Options{K: 8, Parallelism: 1}
-
-	want, err := Decompose(context.Background(), g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewPipeline(MultiBalanceStage(), AlmostStrictStage(), StrictPackStage(), PolishStage()).
-		Run(context.Background(), g, opt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(want.Coloring, got.Coloring) {
-		t.Fatal("hand-assembled pipeline coloring differs from Decompose")
-	}
-	if want.Diag.SplitterCalls != got.Diag.SplitterCalls {
-		t.Fatalf("oracle calls differ: %d vs %d", want.Diag.SplitterCalls, got.Diag.SplitterCalls)
-	}
-
-	// Perturb the weights so the prior is no longer strict, then compare
-	// Refine with its assembly.
-	w2 := append([]float64(nil), g.Weight...)
-	for v := range w2 {
-		if v%3 == 0 {
-			w2[v] *= 4
-		}
-	}
-	g2 := g.WithWeights(w2)
-	wantR, err := Refine(context.Background(), g2, opt, want.Coloring)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotR, err := NewPipeline(UnlessStrict(AlmostStrictStage(), StrictPackStage()), PolishStage()).
-		Run(context.Background(), g2, opt, want.Coloring)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(wantR.Coloring, gotR.Coloring) {
-		t.Fatal("hand-assembled refine pipeline differs from Refine")
-	}
-}
-
 // TestRefineStrictPriorSkipsToPolish pins the zero-oracle-calls resume:
-// with a still-strict prior, the rebalancing group must expand to nothing.
+// with a still-strict prior, the rebalancing stages must not run.
 func TestRefineStrictPriorSkipsToPolish(t *testing.T) {
 	g := workload.ClimateMesh(20, 20, 3, 9)
 	res, err := Decompose(context.Background(), g, Options{K: 6, Parallelism: 1})
@@ -88,12 +41,15 @@ func TestMultilevelRejectsMeasures(t *testing.T) {
 	}
 }
 
-// TestMultilevelStageRequiresConfig pins the assembly error path.
-func TestMultilevelStageRequiresConfig(t *testing.T) {
-	g := workload.ClimateMesh(8, 8, 2, 1)
-	_, err := NewPipeline(MultilevelStage()).Run(context.Background(), g, Options{K: 2}, nil)
-	if err == nil {
-		t.Fatal("MultilevelStage ran without Options.Multilevel")
+// TestDecomposeRejectsMisSizedMeasures: a measure whose length is not
+// g.N() is a caller error, reported instead of indexing out of range.
+func TestDecomposeRejectsMisSizedMeasures(t *testing.T) {
+	g := workload.ClimateMesh(16, 16, 3, 1)
+	for _, n := range []int{3, 0, g.N() + 1} {
+		_, err := Decompose(context.Background(), g, Options{K: 4, Measures: [][]float64{make([]float64, n)}})
+		if err == nil {
+			t.Fatalf("measure of length %d accepted for N = %d", n, g.N())
+		}
 	}
 }
 
@@ -166,15 +122,14 @@ func TestStrictPriorLevelRefineIsLean(t *testing.T) {
 		prior[v] = int32(v * k / n) // equal class weights: strict
 	}
 	opt := Options{K: k, Parallelism: 1, SkipPolish: true}
-	p := RefinePipeline(opt)
-	run := func() Result {
-		res, err := p.run(context.Background(), g, opt, prior, false)
+	refineLevel := func() Result {
+		res, err := run(context.Background(), g, opt, prior, false, refine(nil, false))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	res := run()
+	res := refineLevel()
 	if res.Diag.SplitterCalls != 0 || res.UsedFallback || !slices.Equal(res.Coloring, prior) {
 		t.Fatalf("strict prior was rebalanced: %d oracle calls, fallback %v", res.Diag.SplitterCalls, res.UsedFallback)
 	}
@@ -185,7 +140,7 @@ func TestStrictPriorLevelRefineIsLean(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		run()
+		refineLevel()
 	}
 	runtime.ReadMemStats(&after)
 	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= uint64(8*n) {
