@@ -37,8 +37,8 @@ var longWorkNames = map[string]bool{
 	"InducedCopy":    true,
 	"Contract":       true,
 	// The parallel-multilevel primitives (DESIGN.md §14): O(M) aggregation
-	// sweeps that either checkpoint internally per chunk or count as one
-	// checkpoint-granularity unit at the call site.
+	// sweeps that take no context and count as one checkpoint-granularity
+	// unit at the call site.
 	"ContractPar":      true,
 	"SplittingCostPar": true,
 }

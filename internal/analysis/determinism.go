@@ -23,10 +23,9 @@ import (
 //     runtime chooses among ready cases pseudo-randomly);
 //   - go statements (ad-hoc fan-out: scheduling order is nondeterministic,
 //     so concurrent writes must merge through one of the audited
-//     order-insensitive forms — per-chunk buffers concatenated in chunk
-//     order, chunk-merged argmax under the strictly-greater rule, or
-//     disjoint index ranges. The audited primitives — parRange workers,
-//     proposeMatches, ContractPar, SplittingCostPar, the FM chunk scan,
+//     order-insensitive forms — disjoint index ranges, or chunk-merged
+//     argmax under the strictly-greater rule. The audited primitives —
+//     parRange workers, ContractPar, SplittingCostPar, the FM chunk scan,
 //     the Lemma 8 halves — carry suppressions citing DESIGN.md §14).
 var Determinism = &Analyzer{
 	Name:      "determinism",

@@ -20,8 +20,6 @@ package coarsen
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 )
@@ -39,12 +37,12 @@ type Options struct {
 	// MaxWeight, when positive, forbids matches whose merged vertex weight
 	// would exceed it. 0 disables the cap.
 	MaxWeight float64
-	// Parallelism bounds the worker goroutines of the matching-proposal
-	// and contraction sweeps; 0 or 1 runs fully sequentially with no
-	// goroutines. The hierarchy is bit-identical at every setting: the
-	// parallel phases only precompute per-vertex proposals and per-chunk
-	// edge aggregates whose deterministic merge reproduces the sequential
-	// sweep exactly (DESIGN.md §14).
+	// Parallelism bounds the worker goroutines of the contraction sweep
+	// (graph.ContractPar); 0 or 1 runs fully sequentially with no
+	// goroutines. Matching is always the sequential ascending-id sweep.
+	// The hierarchy is bit-identical at every setting: the contraction
+	// workers only fill disjoint per-chunk windows whose layout the
+	// sequential count fixes (DESIGN.md §14).
 	Parallelism int
 }
 
@@ -122,7 +120,7 @@ func Build(ctx context.Context, g *graph.Graph, opt Options) (*Hierarchy, error)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		assign, coarseN, err := heavyEdgeMatch(ctx, cur, opt.MaxWeight, opt.Parallelism, ms)
+		assign, coarseN, err := heavyEdgeMatch(ctx, cur, opt.MaxWeight, ms)
 		if err != nil {
 			return nil, err
 		}
@@ -140,33 +138,17 @@ func Build(ctx context.Context, g *graph.Graph, opt Options) (*Hierarchy, error)
 	return h, nil
 }
 
-// matchParCutoff is the minimum vertex count for which the parallel
-// proposal sweep pays for its goroutine plumbing; below it the resolve
-// loop scans inline exactly as the sequential path does.
-const matchParCutoff = 1 << 14
-
 // heavyEdgeMatch computes one level's assignment: visiting vertices in
 // ascending id, each unmatched vertex pairs with its unmatched neighbor of
 // maximum edge cost (ties toward the smallest neighbor id) whose merged
 // weight respects the cap, or stays a singleton. Coarse ids are issued in
-// discovery order, so the assignment is deterministic. With par > 1 the
-// neighbor scans are hoisted into the parallel proposal sweep
-// (proposeMatches); the resolve loop below then consumes proposals in the
-// identical ascending-id order, so the assignment is bit-identical to the
-// sequential sweep's. The returned slice aliases ms and is valid until the
-// next call with the same workspace.
-func heavyEdgeMatch(ctx context.Context, g *graph.Graph, maxWeight float64, par int, ms *graph.MatchScratch) ([]int32, int, error) {
+// discovery order, so the assignment is deterministic. The returned slice
+// aliases ms and is valid until the next call with the same workspace.
+func heavyEdgeMatch(ctx context.Context, g *graph.Graph, maxWeight float64, ms *graph.MatchScratch) ([]int32, int, error) {
 	n := g.N()
 	assign := ms.Assign[:n]
 	for i := range assign {
 		assign[i] = -1
-	}
-	var pref []int32
-	if par > 1 && n >= matchParCutoff {
-		pref = ms.Pref[:n]
-		if err := proposeMatches(ctx, g, maxWeight, pref, par); err != nil {
-			return nil, 0, err
-		}
 	}
 	next := int32(0)
 	for v := int32(0); int(v) < n; v++ {
@@ -178,27 +160,7 @@ func heavyEdgeMatch(ctx context.Context, g *graph.Graph, maxWeight float64, par 
 		if assign[v] >= 0 {
 			continue
 		}
-		best := int32(-1)
-		// A still-unmatched proposal is exactly the vertex the sequential
-		// scan would pick: it maximizes edge cost over a superset of the
-		// unmatched cap-admissible candidates (with the identical lowest-id
-		// tie-break), so membership in the subset makes it the subset's
-		// argmax too. Only a consumed proposal forces a rescan; pref[v] < 0
-		// means no neighbor is cap-admissible at all, so the sequential
-		// scan would come up empty as well.
-		if pref != nil {
-			if b := pref[v]; b < 0 {
-				assign[v] = next
-				next++
-				continue
-			} else if assign[b] < 0 {
-				best = b
-			} else {
-				best = scanBestMatch(g, assign, v, maxWeight)
-			}
-		} else {
-			best = scanBestMatch(g, assign, v, maxWeight)
-		}
+		best := scanBestMatch(g, assign, v, maxWeight)
 		assign[v] = next
 		if best >= 0 {
 			assign[best] = next
@@ -228,68 +190,4 @@ func scanBestMatch(g *graph.Graph, assign []int32, v int32, maxWeight float64) i
 		}
 	}
 	return best
-}
-
-// matchChunk is the vertex granularity of the proposal sweep's work items;
-// each chunk boundary doubles as a cancellation checkpoint, bounding the
-// uncancellable stretch like checkEvery does for the resolve loop.
-const matchChunk = 8192
-
-// proposeMatches is the parallel half of the matching sweep: pref[v]
-// becomes v's neighbor of maximum edge cost (ties toward the smallest id)
-// among those the weight cap admits, ignoring matched state — weights are
-// static during a sweep, so cap admissibility is too, making every
-// proposal a pure per-vertex function of the graph. Workers pull
-// contiguous vertex chunks off an atomic counter and write only their own
-// chunk's entries, so the proposal array is deterministic regardless of
-// scheduling; the resolve loop in heavyEdgeMatch turns it into the
-// bit-identical sequential assignment (DESIGN.md §14).
-func proposeMatches(ctx context.Context, g *graph.Graph, maxWeight float64, pref []int32, par int) error {
-	n := len(pref)
-	nChunks := (n + matchChunk - 1) / matchChunk
-	var next int64
-	work := func() {
-		for {
-			i := int(atomic.AddInt64(&next, 1)) - 1
-			if i >= nChunks || ctx.Err() != nil {
-				return
-			}
-			lo := i * matchChunk
-			hi := lo + matchChunk
-			if hi > n {
-				hi = n
-			}
-			for v := int32(lo); int(v) < hi; v++ {
-				best := int32(-1)
-				bestCost := -1.0
-				nb := g.Neighbors(v)
-				for i, e := range g.IncidentEdges(v) {
-					o := nb[i]
-					if maxWeight > 0 && g.Weight[v]+g.Weight[o] > maxWeight {
-						continue
-					}
-					if c := g.Cost[e]; c > bestCost || (c == bestCost && (best < 0 || o < best)) {
-						best, bestCost = o, c
-					}
-				}
-				pref[v] = best
-			}
-		}
-	}
-	workers := par
-	if workers > nChunks {
-		workers = nChunks
-	}
-	var wg sync.WaitGroup
-	for i := 1; i < workers; i++ {
-		wg.Add(1)
-		//repro:nondeterministic-ok proposal workers write disjoint pref ranges per chunk; the resolve loop replays them in ascending-id order — DESIGN.md §14
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	return ctx.Err()
 }

@@ -113,6 +113,45 @@ func TestBuildCancelled(t *testing.T) {
 	}
 }
 
+// lateCancelCtx reports no error for its first `after` Err calls and
+// context.Canceled from then on.
+type lateCancelCtx struct {
+	context.Context
+	after, calls int
+}
+
+func (c *lateCancelCtx) Err() error {
+	c.calls++
+	if c.calls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBuildCancelledMidSweep pins the matching sweep's own checkpoint:
+// the level loop's check and the sweep's vertex-0 poll both pass, so only
+// the poll at vertex checkEvery+1 can see the cancellation. The floor
+// admits exactly one level, so a sweep that missed it would finish and
+// Build would return that level instead of context.Canceled.
+func TestBuildCancelledMidSweep(t *testing.T) {
+	g := workload.ClimateMesh(100, 100, 4, 4)
+	if g.N() <= checkEvery+1 {
+		t.Fatalf("N = %d does not reach the vertex-%d poll", g.N(), checkEvery+1)
+	}
+	opt := Options{MinVertices: g.N() - 1}
+	if h, err := Build(context.Background(), g, opt); err != nil || len(h.Levels) != 1 {
+		t.Fatalf("uncancelled Build: err = %v, want exactly one level", err)
+	}
+	ctx := &lateCancelCtx{Context: context.Background(), after: 2}
+	h, err := Build(ctx, g, opt)
+	if !errors.Is(err, context.Canceled) || h != nil {
+		t.Fatalf("Build = (%v, %v), want (nil, context.Canceled)", h, err)
+	}
+	if ctx.calls != 3 {
+		t.Fatalf("Err polled %d times, want 3 (level loop, vertex 0, vertex %d)", ctx.calls, checkEvery+1)
+	}
+}
+
 func TestBuildTinyGraphIsEmptyHierarchy(t *testing.T) {
 	g := workload.ClimateMesh(4, 4, 2, 5)
 	h, err := Build(context.Background(), g, Options{})
@@ -128,9 +167,9 @@ func TestBuildTinyGraphIsEmptyHierarchy(t *testing.T) {
 // contract end-to-end: Parallelism N builds a hierarchy byte-identical to
 // Parallelism 1 — same depth, same per-level content hashes, same
 // assignment maps — on an instance large enough to exercise the parallel
-// matching-proposal and contraction sweeps.
+// contraction sweep.
 func TestBuildParallelMatchesSequential(t *testing.T) {
-	g := workload.ClimateMesh(140, 140, 4, 7) // 19600 ≥ matchParCutoff vertices
+	g := workload.ClimateMesh(140, 140, 4, 7) // fine M ≥ contractParCutoff, coarse N > contractChunk
 	opt := Options{MinVertices: 64, Parallelism: 1}
 	seq, err := Build(context.Background(), g, opt)
 	if err != nil {

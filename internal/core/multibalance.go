@@ -39,28 +39,15 @@ func (c *ctx) minMaxBalanced(k int, user [][]float64) []int32 {
 	// ‖Ψ‖avg = ‖∂χ⁻¹‖avg, ‖Ψ‖∞ ≤ Δ_c.
 	psi := c.g.BichromaticIncidence(chi)
 
-	// E′ = χ-monochromatic edges; ∂′U = c(δ(U) ∩ E′). Each chunk of the
-	// edge scan writes a disjoint slice of mono, so it fans out safely.
-	m := c.g.M()
-	mono := make([]bool, m)
-	const grain = 8192
-	c.parRange((m+grain-1)/grain, func(ci int) {
-		hi := (ci + 1) * grain
-		if hi > m {
-			hi = m
-		}
-		for e := ci * grain; e < hi; e++ {
-			u, v := c.g.Endpoints(int32(e))
-			mono[e] = chi[u] == chi[v]
-		}
-	})
+	// E′ = χ-monochromatic edges; ∂′U = c(δ(U) ∩ E′).
+	mono := make([]bool, c.g.M())
+	for e := range mono {
+		u, v := c.g.Endpoints(int32(e))
+		mono[e] = chi[u] == chi[v]
+	}
 
 	// Dynamic measure for a Move on color i with incoming set Vin(i):
 	// Φ⁽ʳ⁺¹⁾(v) = c(δ(v) ∩ δ(Vin(i)) ∩ E′) for v ∈ Vin(i), else 0.
-	// Chunks of the vertex scan write disjoint phi entries (vinSet is
-	// duplicate-free) and read the frozen membership map, so they fan out
-	// across the pool; per-vertex work is only a handful of edge reads,
-	// hence the same chunking as the mono scan rather than per-index.
 	dynamic := func(vinSet []int32) []float64 {
 		phi := make([]float64, c.g.N())
 		if len(vinSet) == 0 {
@@ -70,23 +57,14 @@ func (c *ctx) minMaxBalanced(k int, user [][]float64) []int32 {
 		for _, v := range vinSet {
 			in[v] = true
 		}
-		c.parRange((len(vinSet)+grain-1)/grain, func(ci int) {
-			hi := (ci + 1) * grain
-			if hi > len(vinSet) {
-				hi = len(vinSet)
-			}
-			for _, v := range vinSet[ci*grain : hi] {
-				nb := c.g.Neighbors(v)
-				for i, e := range c.g.IncidentEdges(v) {
-					if !mono[e] {
-						continue
-					}
-					if !in[nb[i]] {
-						phi[v] += c.g.Cost[e]
-					}
+		for _, v := range vinSet {
+			nb := c.g.Neighbors(v)
+			for i, e := range c.g.IncidentEdges(v) {
+				if mono[e] && !in[nb[i]] {
+					phi[v] += c.g.Cost[e]
 				}
 			}
-		})
+		}
 		return phi
 	}
 

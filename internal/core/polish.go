@@ -137,13 +137,6 @@ func (ps *polishState) weightOK(x float64) bool {
 	return d <= ps.window+ps.tol
 }
 
-// borderChunk is the edge granularity of the parallel crossing-edge scan;
-// borderParCutoff is the minimum edge count for which the fan-out pays.
-const (
-	borderChunk     = 1 << 15
-	borderParCutoff = 1 << 16
-)
-
 // round performs one sweep; returns whether anything improved.
 func (ps *polishState) round() bool {
 	g := ps.c.g
@@ -158,51 +151,13 @@ func (ps *polishState) round() bool {
 	border := make([][]int32, k)
 	isBorder := make([]bool, g.N())
 	if ps.active == nil {
-		// The O(M) crossing-edge scan dominates a round on large graphs, so
-		// it fans across the pool: workers collect each chunk's crossing
-		// edges (a pure read of the frozen pre-round coloring), and the
-		// in-order merge below visits them in ascending edge id — the
-		// identical first-seen discovery order the sequential scan produces,
-		// so the border lists are bit-identical at any parallelism.
-		m := g.M()
-		if ps.c.sem != nil && m >= borderParCutoff {
-			nChunks := (m + borderChunk - 1) / borderChunk
-			crossing := make([][]int32, nChunks)
-			ps.c.parRange(nChunks, func(i int) {
-				lo := i * borderChunk
-				hi := lo + borderChunk
-				if hi > m {
-					hi = m
-				}
-				var out []int32
-				for e := lo; e < hi; e++ {
-					u, v := g.Endpoints(int32(e))
-					if ps.out[u] != ps.out[v] {
-						out = append(out, int32(e))
-					}
-				}
-				crossing[i] = out
-			})
-			for _, chunk := range crossing {
-				for _, e := range chunk {
-					u, v := g.Endpoints(e)
-					for _, x := range []int32{u, v} {
-						if !isBorder[x] {
-							isBorder[x] = true
-							border[ps.out[x]] = append(border[ps.out[x]], x)
-						}
-					}
-				}
-			}
-		} else {
-			for e := 0; e < m; e++ {
-				u, v := g.Endpoints(int32(e))
-				if ps.out[u] != ps.out[v] {
-					for _, x := range []int32{u, v} {
-						if !isBorder[x] {
-							isBorder[x] = true
-							border[ps.out[x]] = append(border[ps.out[x]], x)
-						}
+		for e := 0; e < g.M(); e++ {
+			u, v := g.Endpoints(int32(e))
+			if ps.out[u] != ps.out[v] {
+				for _, x := range []int32{u, v} {
+					if !isBorder[x] {
+						isBorder[x] = true
+						border[ps.out[x]] = append(border[ps.out[x]], x)
 					}
 				}
 			}

@@ -39,8 +39,9 @@ func Contract(g *Graph, assign []int32, coarseN int) (*Contraction, error) {
 }
 
 // contractChunk is the coarse-vertex granularity of the parallel edge
-// aggregation: each work item sweeps one contiguous range of coarse ids
-// into a private buffer, and the buffers concatenate in range order.
+// aggregation: each work item covers one contiguous range of coarse ids,
+// counting its coarse edges in the first phase and filling its disjoint
+// window of the exact-length final arrays in the second.
 const contractChunk = 2048
 
 // contractParCutoff is the minimum fine-edge count for which fanning the

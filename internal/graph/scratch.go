@@ -76,18 +76,15 @@ func (s *scratch) seenEdge(e int32) bool {
 
 // ---- matching scratch ----
 
-// MatchScratch is a pooled pair of int32 work buffers sized for one
-// matching sweep: the assignment array and the parallel proposal array of
-// coarsen's heavy-edge matching. Both are fully re-initialized by their
-// user each level (the assignment is filled with −1, proposals are written
-// for every vertex), so unlike the stamped traversal scratch they carry no
-// epoch discipline — pooling them only removes the two O(N) allocations
-// per hierarchy level that used to dominate Build's allocation profile.
+// MatchScratch is a pooled int32 work buffer sized for one matching
+// sweep: the assignment array of coarsen's heavy-edge matching. Its user
+// fills it with −1 at the start of every level, so unlike the stamped
+// traversal scratch it carries no epoch discipline — pooling it only
+// removes the O(N) allocation per hierarchy level that used to dominate
+// Build's allocation profile.
 type MatchScratch struct {
 	// Assign is the per-vertex coarse-id assignment buffer.
 	Assign []int32
-	// Pref is the per-vertex match-proposal buffer of the parallel sweep.
-	Pref []int32
 }
 
 var matchPool = sync.Pool{New: func() any { return &MatchScratch{} }}
@@ -102,10 +99,6 @@ func AcquireMatchScratch(n int) *MatchScratch {
 		ms.Assign = make([]int32, n)
 	}
 	ms.Assign = ms.Assign[:n]
-	if cap(ms.Pref) < n {
-		ms.Pref = make([]int32, n)
-	}
-	ms.Pref = ms.Pref[:n]
 	return ms
 }
 

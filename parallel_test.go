@@ -2,10 +2,10 @@ package repro
 
 // Parallel-multilevel determinism coverage (DESIGN.md §14): Parallelism N
 // must produce byte-identical colorings to Parallelism 1 through the full
-// multilevel path — parallel matching proposals, contraction sweeps, the
-// π sweep, the FM gain scan and the polish border scan all claim
-// placement-only parallelism, and this file is where the claim is
-// pinned. CI runs this package under -race, so the cancel test below
+// multilevel path — the contraction sweeps, the π sweep, the FM gain scan,
+// the pool's cut-down and impact-scoring fan-outs and the Lemma 8 halves
+// all claim placement-only parallelism, and this file is where the claim
+// is pinned. CI runs this package under -race, so the cancel test below
 // doubles as the pool's race check.
 
 import (
@@ -25,9 +25,11 @@ import (
 // multilevel path at Parallelism 1, 2 and 4 and requires byte-identical
 // colorings. Corpus instances sit below most fan-out cutoffs (the gates
 // route them through the sequential forms at any setting, which is itself
-// part of the contract); the large cases appended after the corpus sit
-// above every cutoff — matching, contraction, π sweep, FM scan and polish
-// border scan all take their parallel branches there.
+// part of the contract); the large cases appended after the corpus are
+// big enough for the contraction sweep to take its parallel branch on
+// the first levels. They compute no π on a level above the π cutoff and
+// no FM scan in them reaches the FM cutoff, so those two sweeps keep
+// their sequential branches here.
 func TestMultilevelParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seeded corpus is a full-test concern")
@@ -36,8 +38,8 @@ func TestMultilevelParallelDeterminism(t *testing.T) {
 	if len(cases) < 200 {
 		t.Fatalf("corpus has %d cases, want ≥ 200", len(cases))
 	}
-	// Large instances: above every parallel cutoff (192² = 36864 vertices,
-	// 73344 edges).
+	// Large instances: above the contraction cutoff (192² = 36864
+	// vertices, 73344 edges).
 	for seed := int64(1); seed <= 2; seed++ {
 		gr := grid.MustBox(192, 192)
 		workload.ApplyFields(gr, workload.LognormalWeights(0.5), nil, seed)
